@@ -12,6 +12,7 @@ bits with pre and post interleaved per bit (pre_j, post_j adjacent).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,16 @@ _FUZZ = 1e-9
 
 @dataclass
 class TransitionSystem:
-    """Symbolic system (states, initial states, inputs, transitions)."""
+    """Symbolic system (states, initial states, inputs, transitions).
+
+    It shares its model protocol with the expanded model (`NcsModel`):
+    state_grid, input_grid, anchor_set (the cells of the newest
+    measurement, here the state itself), input_set (the controller
+    output), bounds (None: no delay channels), state_columns,
+    encode_state, encode_row and decode_row.
+    """
+
+    bounds = None
 
     mgr: Manager
     pre_set: SymbolicSet
@@ -47,6 +57,11 @@ class TransitionSystem:
                 self.post_to_pre[b] = a
         self.state_domain = self.pre_set.domain()
         self.input_domain = self.input_set.domain()
+        self.state_grid = self.pre_set.grid
+        self.input_grid = self.input_set.grid
+        self.anchor_set = self.pre_set
+        self.state_columns = tuple((f"x{d}", n) for d, n
+                                   in enumerate(self.state_grid.npoints))
 
     @property
     def all_vars(self):
@@ -72,6 +87,34 @@ class TransitionSystem:
             yield (self.pre_set.decode_index(a),
                    self.input_set.decode_index(a),
                    self.post_set.decode_index(a))
+
+    def encode_state(self, xs, us):
+        """Register-vector form of `encode_row`: a plant state is one state
+        register and no input register."""
+        if len(xs) != 1 or us:
+            raise ValueError("register vectors have wrong length")
+        return self.pre_set.assignment(xs[0])
+
+    def encode_row(self, row):
+        """Assignment of one flat state row (the state's index vector)."""
+        return self.pre_set.assignment(row)
+
+    def decode_row(self, assignment, which):
+        """Index vector of the pre or post state of an assignment."""
+        sset = self.pre_set if which == "pre" else self.post_set
+        return sset.decode_index(assignment)
+
+
+def plant_system(mgr, state_grid, input_grid, ids, trans, tau, name):
+    """Plant system whose sets cover their whole grids and whose initial
+    states are all cells; ids holds the per-dimension variable ids of the
+    (input, pre, post) sets."""
+    input_set, pre_set, post_set = (
+        SymbolicSet(mgr, grid, var_ids).full()
+        for grid, var_ids in zip((input_grid, state_grid, state_grid), ids))
+    return TransitionSystem(mgr=mgr, pre_set=pre_set, input_set=input_set,
+                            post_set=post_set, trans=trans,
+                            initial=pre_set.chi, tau=tau, name=name)
 
 
 def allocate_layout(mgr, state_grid, input_grid):
@@ -126,79 +169,38 @@ def build_abstraction(spec, state_grid, input_grid, mgr=None):
                          f"grid dimension {input_grid.dim}")
     if mgr is None:
         mgr = Manager()
-    input_ids, pre_ids, post_ids = allocate_layout(mgr, state_grid, input_grid)
+    ids = allocate_layout(mgr, state_grid, input_grid)
+    ts = plant_system(mgr, state_grid, input_grid, ids, mgr.false, spec.tau,
+                      spec.name)
 
-    support = sorted(v for ids in (input_ids + pre_ids + post_ids) for v in ids)
+    support = sorted(ts.input_vars + ts.pre_vars + ts.post_vars)
     width = len(support)
     shift = {v: width - 1 - i for i, v in enumerate(support)}
 
+    def minterms(sset):
+        # from_minterms takes support[0] as the most significant code bit
+        return {idx: sum(bit << shift[v] for v, bit in sset.assignment(idx).items())
+                for idx in sset.grid.indices()}
+
+    post_codes = minterms(ts.post_set)
+    inputs = [(input_grid.center(idx), code)
+              for idx, code in minterms(ts.input_set).items()]
     radius = tuple(e / 2 for e in state_grid.eta)
-    inputs = [(idx, input_grid.center(idx)) for idx in _iter_indices(input_grid)]
     codes = []
-    for pre_idx in _iter_indices(state_grid):
+    for pre_idx, pre_code in minterms(ts.pre_set).items():
         x = state_grid.center(pre_idx)
-        pre_code = _pack(pre_idx, pre_ids, shift)
-        for u_idx, u in inputs:
+        for u, u_code in inputs:
             xp = integrate(spec, x, u)
             rp = growth_radius(spec, radius, u)
             ranges = _post_cell_ranges(state_grid, xp, rp)
             if ranges is None:
                 continue
-            head = pre_code | _pack(u_idx, input_ids, shift)
-            for post_idx in _iter_ranges(ranges):
-                codes.append(head | _pack(post_idx, post_ids, shift))
-    trans = mgr.from_minterms(support, codes)
-
-    pre_set = SymbolicSet(mgr, state_grid, pre_ids)
-    pre_set = pre_set.with_chi(pre_set.domain())
-    post_set = SymbolicSet(mgr, state_grid, post_ids)
-    post_set = post_set.with_chi(post_set.domain())
-    input_set = SymbolicSet(mgr, input_grid, input_ids)
-    input_set = input_set.with_chi(input_set.domain())
-    return TransitionSystem(mgr=mgr, pre_set=pre_set, input_set=input_set,
-                            post_set=post_set, trans=trans,
-                            initial=pre_set.domain(), tau=spec.tau,
-                            name=spec.name)
-
-
-def _pack(idx, ids, shift):
-    code = 0
-    for dim_ids, i in zip(ids, idx):
-        for b, v in enumerate(dim_ids):
-            if (i >> b) & 1:
-                code |= 1 << shift[v]
-    return code
-
-
-def _iter_indices(grid):
-    idx = [0] * grid.dim
-    npoints = grid.npoints
-    while True:
-        yield tuple(idx)
-        d = 0
-        while d < grid.dim:
-            idx[d] += 1
-            if idx[d] < npoints[d]:
-                break
-            idx[d] = 0
-            d += 1
-        else:
-            return
-
-
-def _iter_ranges(ranges):
-    idx = [a for a, _ in ranges]
-    while True:
-        yield tuple(idx)
-        d = 0
-        while d < len(ranges):
-            idx[d] += 1
-            if idx[d] <= ranges[d][1]:
-                break
-            idx[d] = ranges[d][0]
-            d += 1
-        else:
-            return
+            head = pre_code | u_code
+            for post_idx in itertools.product(*(range(a, b + 1)
+                                                for a, b in ranges)):
+                codes.append(head | post_codes[post_idx])
+    ts.trans = mgr.from_minterms(support, codes)
+    return ts
 
 
 def remove_region(ts, region):

@@ -24,7 +24,7 @@ from .abstraction import build_abstraction, remove_region
 from .bdd import Manager
 from .bddfile import BddFileError
 from .config import ConfigError, RunConfig
-from .grid import SymbolicSet, UniformGrid
+from .grid import UniformGrid
 from .modelio import (load_controller, load_ncs_model, load_plant_model,
                       save_controller, save_ncs_model, save_plant_model)
 from .ncs import DelayBounds, expand, expand_spec_set, reachable
@@ -80,13 +80,6 @@ def _plant(cfg):
     return plant
 
 
-def _boxes_set(base_set, boxes):
-    s = base_set.empty()
-    for lo, hi in boxes:
-        s = s.add_box(lo, hi)
-    return s
-
-
 # ----------------------------------------------------------------------
 # stages
 
@@ -97,7 +90,7 @@ def cmd_abstract(cfg, out_dir):
     ts = build_abstraction(plant, _grid(cfg.plant.grid),
                            _grid(cfg.plant.input_grid))
     if cfg.spec.obstacles:
-        region = _boxes_set(ts.pre_set, cfg.spec.obstacles)
+        region = ts.pre_set.empty().add_boxes(cfg.spec.obstacles)
         ts = remove_region(ts, region)
     path = Path(out_dir) / "plant.bdd"
     save_plant_model(ts, path)
@@ -148,14 +141,14 @@ def cmd_expand(cfg, out_dir):
 
 def _spec_sets(cfg, base, model):
     """Lift configured boxes to predicates over the expanded state set."""
-    targets = [expand_spec_set(_boxes_set(base.pre_set, [box]), model)
+    empty = base.pre_set.empty()
+    targets = [expand_spec_set(empty.add_boxes([box]), model)
                for box in cfg.spec.targets]
     safe = None
     if cfg.spec.safe:
-        safe = expand_spec_set(_boxes_set(base.pre_set, cfg.spec.safe), model)
+        safe = expand_spec_set(empty.add_boxes(cfg.spec.safe), model)
     if cfg.spec.obstacles:
-        blocked = expand_spec_set(_boxes_set(base.pre_set, cfg.spec.obstacles),
-                                  model)
+        blocked = expand_spec_set(empty.add_boxes(cfg.spec.obstacles), model)
         allowed = model.state_domain & ~blocked
         safe = allowed if safe is None else (safe & allowed)
     return targets, safe
@@ -175,22 +168,21 @@ def cmd_synth(cfg, out_dir):
     targets, safe = _spec_sets(cfg, base, model)
 
     kind = cfg.spec.kind
+    if kind in ("reach", "recurrence"):
+        # only these two take the union; on a large expanded model it costs
+        # real time and memory
+        any_target = model.mgr.false
+        for t in targets:
+            any_target = any_target | t
     if kind == "safety":
         ctrl = solve_safety(model, safe)
     elif kind == "reach":
-        target = model.mgr.false
-        for t in targets:
-            target = target | t
-        if safe is not None:
-            target = target & safe
-        ctrl = solve_reach(model, target)
+        ctrl = solve_reach(model, any_target if safe is None
+                           else any_target & safe)
     elif kind == "persistence":
         ctrl = solve_persistence(model, safe)
     elif kind == "recurrence":
-        target = model.mgr.false
-        for t in targets:
-            target = target | t
-        ctrl = solve_recurrence(model, target)
+        ctrl = solve_recurrence(model, any_target)
     else:
         ctrl = solve_gen_buchi(model, targets, safe=safe)
 
@@ -202,7 +194,8 @@ def cmd_synth(cfg, out_dir):
         "domain_size": model.mgr.sat_count(ctrl.domain, model.pre_vars),
     }
     if ctrl.is_empty:
-        _write_manifest(out_dir, "synth", cfg, [ncs_path], [], sizes, t0)
+        _write_manifest(out_dir, "synth", cfg, [ncs_path, plant_path], [],
+                        sizes, t0)
         raise EmptyController(f"{kind} specification is not enforceable on "
                               f"this model (empty controller)")
     path = Path(out_dir) / "controller.bdd"
@@ -225,7 +218,8 @@ def cmd_synth(cfg, out_dir):
         outputs += [Path(out_dir) / f"controller.m{i}.bdd"
                     for i in range(1, len(ctrl.modes))]
         outputs.append(Path(out_dir) / "controller.modes.json")
-    _write_manifest(out_dir, "synth", cfg, [ncs_path], outputs, sizes, t0)
+    _write_manifest(out_dir, "synth", cfg, [ncs_path, plant_path], outputs,
+                    sizes, t0)
     print(f"controller: kind={kind} domain={sizes['domain_size']} "
           f"modes={sizes['modes']} iterations={sizes['iterations']}",
           file=sys.stderr)
@@ -248,7 +242,16 @@ def cmd_sim(cfg, out_dir, unsafe=False, seed=None):
     loop = ClosedLoop(plant, ctrl, x0=cfg.sim.x0, u0=cfg.sim.u0,
                       seed=cfg.sim.seed if seed is None else seed,
                       channel_mode=cfg.sim.channel_mode, unsafe=unsafe)
-    trace = loop.run(cfg.sim.steps)
+    stop = None
+    if cfg.spec.kind == "reach":
+        # a reach controller guarantees a visit, not a stay: end the run at
+        # the first sampled cell in a target box, the register the target
+        # is anchored on
+        target = ctrl.model.anchor_set.empty().add_boxes(cfg.spec.targets)
+
+        def stop(rec):
+            return target.contains_point(rec.x)
+    trace = loop.run(cfg.sim.steps, stop=stop)
     csv_path = Path(out_dir) / "trace.csv"
     json_path = Path(out_dir) / "trace.json"
     export_trace(trace, csv_path)

@@ -4,13 +4,20 @@ A grid covers [lb, ub] per dimension with cells of width eta centered on
 lattice points lb + i*eta; both endpoint cells are included, so dimension
 d has floor((ub-lb)/eta) + 1 points.  Cell membership everywhere in this
 package is by cell-center inclusion.
+
+The cell codec lives here and nowhere else.  A cell's packed code holds
+dimension 0 in the low bits and grid.bits[d] bits for dimension d
+(`UniformGrid.pack` / `unpack`); a code sits on a block of BDD variables
+least significant bit first (`write_code` / `read_code`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bdd import BddError
 
@@ -46,15 +53,20 @@ class UniformGrid:
     def dim(self):
         return len(self.lb)
 
-    @property
+    @cached_property
     def npoints(self):
         return tuple(int(math.floor((b - a) / e + _FUZZ)) + 1
                      for a, b, e in zip(self.lb, self.ub, self.eta))
 
-    @property
+    @cached_property
     def bits(self):
         return tuple(max(1, (n - 1).bit_length()) if n > 1 else 0
                      for n in self.npoints)
+
+    @cached_property
+    def offsets(self):
+        """Position of each dimension's lowest bit in the packed code."""
+        return tuple(itertools.accumulate(self.bits[:-1], initial=0))
 
     @property
     def total_bits(self):
@@ -93,6 +105,33 @@ class UniformGrid:
                 raise ValueError(f"index {i} out of range for dimension {d}")
         return tuple(a + i * e for i, a, e in zip(idx, self.lb, self.eta))
 
+    def pack(self, idx):
+        """Packed code of an index vector."""
+        if len(idx) != self.dim:
+            raise ValueError("index vector has wrong dimension")
+        code = 0
+        for d, (i, n, off) in enumerate(zip(idx, self.npoints, self.offsets)):
+            if not 0 <= i < n:
+                raise ValueError(f"index {i} out of range for dimension {d}")
+            code |= i << off
+        return code
+
+    def unpack(self, code):
+        """Index vector of a packed code."""
+        return tuple((code >> off) & ((1 << b) - 1)
+                     for off, b in zip(self.offsets, self.bits))
+
+    def fields(self, block):
+        """Split a variable block holding a packed code into per-dimension
+        variable tuples, least significant bit first."""
+        return tuple(tuple(block[off:off + b])
+                     for off, b in zip(self.offsets, self.bits))
+
+    def indices(self):
+        """All index vectors in ascending packed-code order."""
+        for idx in itertools.product(*map(range, reversed(self.npoints))):
+            yield idx[::-1]
+
     def box_index_ranges(self, lo, hi):
         """Per-dimension index interval of cells whose centers lie in [lo, hi],
         clipped to the grid; None when empty in some dimension."""
@@ -114,6 +153,22 @@ def _box_ranges(grid, lo, hi):
             return None
         ranges.append((a, b))
     return ranges
+
+
+def write_code(assignment, block, code):
+    """Set the variables of `block` to `code`, least significant bit first;
+    returns the assignment."""
+    for k, v in enumerate(block):
+        assignment[v] = (code >> k) & 1
+    return assignment
+
+
+def read_code(assignment, block):
+    """The code that `block` holds under an assignment {var: bit}."""
+    code = 0
+    for k, v in enumerate(block):
+        code |= (assignment[v] & 1) << k
+    return code
 
 
 def _bit_reverse(value, width):
@@ -140,7 +195,8 @@ class SymbolicSet:
     """A grid plus a characteristic function over its bit variables.
 
     var_ids holds one list of BDD variable indices per dimension, least
-    significant bit first.  Value semantics: mutators return new sets.
+    significant bit first; their concatenation, `block`, holds a cell's
+    packed code.  Value semantics: mutators return new sets.
     """
 
     def __init__(self, mgr, grid, var_ids, chi=None):
@@ -152,6 +208,7 @@ class SymbolicSet:
         self.mgr = mgr
         self.grid = grid
         self.var_ids = tuple(tuple(ids) for ids in var_ids)
+        self.block = tuple(v for ids in self.var_ids for v in ids)
         self.chi = chi if chi is not None else mgr.false
         self._domain = None
 
@@ -193,15 +250,13 @@ class SymbolicSet:
             s = s.add_box(lo, hi)
         return s
 
+    def assignment(self, idx):
+        """Assignment {var: bit} of one cell's index vector."""
+        return write_code({}, self.block, self.grid.pack(idx))
+
     def cell_cube(self, idx):
         """Cube BDD selecting exactly one cell."""
-        assignment = {}
-        for ids, i, n in zip(self.var_ids, idx, self.grid.npoints):
-            if not (0 <= i < n):
-                raise ValueError(f"cell index {i} out of range")
-            for b, v in enumerate(ids):
-                assignment[v] = (i >> b) & 1
-        return self.mgr.cube(assignment)
+        return self.mgr.cube(self.assignment(idx))
 
     def decode(self, assignment):
         """Cell center for a satisfying assignment ({var: bit} or a bit
@@ -215,16 +270,10 @@ class SymbolicSet:
             if len(assignment) != len(sup):
                 raise ValueError("bit tuple does not match support width")
             assignment = dict(zip(sup, assignment))
-        idx = []
-        for ids in self.var_ids:
-            i = 0
-            for b, v in enumerate(ids):
-                try:
-                    i |= (assignment[v] & 1) << b
-                except KeyError:
-                    raise BddError(f"assignment misses variable {v}") from None
-            idx.append(i)
-        idx = tuple(idx)
+        try:
+            idx = self.grid.unpack(read_code(assignment, self.block))
+        except KeyError as exc:
+            raise BddError(f"assignment misses variable {exc.args[0]}") from None
         for d, (i, n) in enumerate(zip(idx, self.grid.npoints)):
             if i >= n:
                 raise ValueError(f"assignment decodes outside the grid "
@@ -232,17 +281,10 @@ class SymbolicSet:
         return idx
 
     def contains_index(self, idx):
-        return self.mgr.evaluate(self.chi, self._index_assignment(idx))
+        return self.mgr.evaluate(self.chi, self.assignment(idx))
 
     def contains_point(self, x):
         return self.contains_index(self.grid.point_to_symbol(x))
-
-    def _index_assignment(self, idx):
-        assignment = {}
-        for ids, i in zip(self.var_ids, idx):
-            for b, v in enumerate(ids):
-                assignment[v] = (i >> b) & 1
-        return assignment
 
     def count(self):
         return self.mgr.sat_count(self.chi, self.support)

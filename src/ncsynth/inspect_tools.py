@@ -14,75 +14,25 @@ import csv
 from pathlib import Path
 
 from .bddfile import load
-from .ncs import NcsModel
+from .grid import write_code
 
 
 def _columns(model):
     """(names, cardinalities) of one transition row."""
-    if isinstance(model, NcsModel):
-        lay = model.layout
-        names, cards = [], []
-        for r in range(lay.s):
-            for d in range(model.state_grid.dim):
-                names.append(f"pre_x{r + 1}_{d}")
-                cards.append(model.state_grid.npoints[d])
-        for r in range(lay.c):
-            for d in range(model.input_grid.dim):
-                names.append(f"pre_u{r + 1}_{d}")
-                cards.append(model.input_grid.npoints[d])
-        for r in range(lay.s):
-            names.append(f"pre_dsc{r + 1}")
-            cards.append(model.bounds.nsc_max + 1)
-        for r in range(lay.c):
-            names.append(f"pre_dca{r + 1}")
-            cards.append(model.bounds.nca_max + 1)
-        for d in range(model.input_grid.dim):
-            names.append(f"in_u{d}")
-            cards.append(model.input_grid.npoints[d])
-        post_names = [n.replace("pre_", "post_", 1) for n, _ in
-                      zip(names, cards) if n.startswith("pre_")]
-        names += post_names
-        cards += cards[:len(post_names)]
-        return names, cards
-    names, cards = [], []
-    for d in range(model.pre_set.grid.dim):
-        names.append(f"pre_x{d}")
-        cards.append(model.pre_set.grid.npoints[d])
-    for d in range(model.input_set.grid.dim):
-        names.append(f"in_u{d}")
-        cards.append(model.input_set.grid.npoints[d])
-    for d in range(model.post_set.grid.dim):
-        names.append(f"post_x{d}")
-        cards.append(model.post_set.grid.npoints[d])
-    return names, cards
-
-
-def _flatten_expanded(decoded, model):
-    xs, us, dsc, dca = decoded
-    row = []
-    for x in xs:
-        row.extend([-1] * model.state_grid.dim if x is None else list(x))
-    for u in us:
-        row.extend(u)
-    row.extend(dsc)
-    row.extend(dca)
-    return row
+    cols = ([("pre_" + n, c) for n, c in model.state_columns]
+            + [(f"in_u{d}", n) for d, n in enumerate(model.input_grid.npoints)]
+            + [("post_" + n, c) for n, c in model.state_columns])
+    return [n for n, _ in cols], [c for _, c in cols]
 
 
 def transition_rows(model):
     """All transitions as integer rows, lexicographically sorted."""
     rows = []
-    if isinstance(model, NcsModel):
-        sup = model.all_vars
-        for bits in model.mgr.cubes(model.trans, sup):
-            a = dict(zip(sup, bits))
-            row = _flatten_expanded(model.decode_state(a, "pre"), model)
-            row += list(model.decode_label(a))
-            row += _flatten_expanded(model.decode_state(a, "post"), model)
-            rows.append(tuple(row))
-    else:
-        for pre, u, post in model.transitions():
-            rows.append(tuple(list(pre) + list(u) + list(post)))
+    sup = model.all_vars
+    for bits in model.mgr.cubes(model.trans, sup):
+        a = dict(zip(sup, bits))
+        rows.append(model.decode_row(a, "pre") + model.input_set.decode_index(a)
+                    + model.decode_row(a, "post"))
     return sorted(rows)
 
 
@@ -172,17 +122,13 @@ def cont_coverage(controller, model, dims=(0, 1)):
     dimensions ('#': covered, '.': not); remaining variables are
     existentially projected.  For expanded models the newest state
     register is shown."""
-    grid = (model.state_grid if isinstance(model, NcsModel)
-            else model.pre_set.grid)
+    grid = model.state_grid
     if grid.dim < 2:
         raise ValueError("coverage maps need at least two state dimensions")
     a, b = dims
     if not (0 <= a < grid.dim and 0 <= b < grid.dim and a != b):
         raise ValueError(f"bad dimension pair {dims} for a {grid.dim}-D grid")
-    if isinstance(model, NcsModel):
-        fields = model.layout.state_field_ids(0, "pre")
-    else:
-        fields = model.pre_set.var_ids
+    fields = model.anchor_set.var_ids
     keep = set(fields[a]) | set(fields[b])
     domain = controller.domain
     others = [v for v in domain.support() if v not in keep]
@@ -191,11 +137,7 @@ def cont_coverage(controller, model, dims=(0, 1)):
     for j in range(grid.npoints[b] - 1, -1, -1):
         row = []
         for i in range(grid.npoints[a]):
-            assignment = {}
-            for bit, v in enumerate(fields[a]):
-                assignment[v] = (i >> bit) & 1
-            for bit, v in enumerate(fields[b]):
-                assignment[v] = (j >> bit) & 1
+            assignment = write_code(write_code({}, fields[a], i), fields[b], j)
             row.append("#" if proj.restrict(assignment).is_true else ".")
         lines.append("".join(row))
     return "\n".join(lines)
@@ -204,21 +146,14 @@ def cont_coverage(controller, model, dims=(0, 1)):
 def explore_model(model, state, input_sequence):
     """sysExplorer core: post-state sets after each input of the sequence.
 
-    For plant models `state` is the index vector; for expanded models it
-    is the flattened register vector (-1 marks a register without a
-    measurement).  Returns a list of sets of state tuples, one per input.
+    `state` is a flat state row of the model (for plant models the index
+    vector; for expanded models the flattened register vector, -1 marking
+    a register without a measurement).  Returns a list of sets of state
+    rows, one per input.
     """
     mgr = model.mgr
-    if isinstance(model, NcsModel):
-        cur = mgr.cube(_expanded_assignment(model, state))
-        input_dim = model.input_grid.dim
-    else:
-        assignment = {}
-        for ids, i in zip(model.pre_set.var_ids, state):
-            for bit, v in enumerate(ids):
-                assignment[v] = (i >> bit) & 1
-        cur = mgr.cube(assignment)
-        input_dim = model.input_set.grid.dim
+    cur = mgr.cube(model.encode_row(state))
+    input_dim = model.input_grid.dim
     if len(input_sequence) % input_dim:
         raise ValueError(f"input sequence length must be a multiple of "
                          f"{input_dim}")
@@ -229,83 +164,21 @@ def explore_model(model, state, input_sequence):
     back = {b: a for a, b in model.pre_to_post.items()}
     out = []
     for u in steps:
-        ucube = mgr.cube(_input_assignment(model, u))
+        ucube = model.input_set.cell_cube(u)
         img = mgr.exist_and(model.trans & ucube, cur, quant).rename(back)
-        cells = _decode_states(model, img)
-        out.append(cells)
+        out.append({model.decode_row(dict(zip(model.pre_vars, bits)), "pre")
+                    for bits in mgr.cubes(img, model.pre_vars)})
         cur = img
     return out
-
-
-def _input_assignment(model, u):
-    if isinstance(model, NcsModel):
-        fields = model.layout.label_field_ids()
-        npoints = model.input_grid.npoints
-    else:
-        fields = model.input_set.var_ids
-        npoints = model.input_set.grid.npoints
-    assignment = {}
-    for ids, i, n in zip(fields, u, npoints):
-        if not (0 <= i < n):
-            raise ValueError(f"input index {i} out of range")
-        for bit, v in enumerate(ids):
-            assignment[v] = (i >> bit) & 1
-    return assignment
-
-
-def _expanded_assignment(model, flat):
-    lay = model.layout
-    n, m = model.state_grid.dim, model.input_grid.dim
-    need = lay.s * n + lay.c * m + lay.s + lay.c
-    if len(flat) != need:
-        raise ValueError(f"expanded state needs {need} integers, got {len(flat)}")
-    it = iter(flat)
-    xs = []
-    for _ in range(lay.s):
-        v = [next(it) for _ in range(n)]
-        xs.append(None if v[0] < 0 else tuple(v))
-    us = [tuple(next(it) for _ in range(m)) for _ in range(lay.c)]
-    dsc = [next(it) for _ in range(lay.s)]
-    dca = [next(it) for _ in range(lay.c)]
-    return model.encode_state(tuple(xs), tuple(us), dsc, dca)
-
-
-def _decode_states(model, chi):
-    cells = set()
-    for bits in model.mgr.cubes(chi, model.pre_vars):
-        a = dict(zip(model.pre_vars, bits))
-        if isinstance(model, NcsModel):
-            cells.add(tuple(_flatten_expanded(model.decode_state(a, "pre"),
-                                              model)))
-        else:
-            cells.add(model.pre_set.decode_index(a))
-    return cells
 
 
 def explore_controller(controller, model, state):
     """Admissible input index vectors at a state, or None when the state
     is outside the controller domain."""
-    if isinstance(model, NcsModel):
-        assignment = _expanded_assignment(model, state)
-        grid = model.input_grid
-    else:
-        assignment = {}
-        for ids, i in zip(model.pre_set.var_ids, state):
-            for bit, v in enumerate(ids):
-                assignment[v] = (i >> bit) & 1
-        grid = model.input_set.grid
-    codes = controller.admissible_inputs(assignment)
+    codes = controller.admissible_inputs(model.encode_row(state))
     if not codes:
         return None
-    out = []
-    for code in codes:
-        idx = []
-        off = 0
-        for b in grid.bits:
-            idx.append((code >> off) & ((1 << b) - 1))
-            off += b
-        out.append(tuple(idx))
-    return out
+    return [model.input_grid.unpack(code) for code in codes]
 
 
 def explorer_repl(model, controller=None, stdin=None, stdout=None):
@@ -319,14 +192,7 @@ def explorer_repl(model, controller=None, stdin=None, stdout=None):
     import sys
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
-    input_dim = (model.input_grid.dim if isinstance(model, NcsModel)
-                 else model.input_set.grid.dim)
-    if isinstance(model, NcsModel):
-        lay = model.layout
-        state_len = (lay.s * model.state_grid.dim + lay.c * input_dim
-                     + lay.s + lay.c)
-    else:
-        state_len = model.pre_set.grid.dim
+    state_len = len(model.state_columns)
     print("one query per line; 'quit' to exit", file=stdout)
     for line in stdin:
         line = line.strip()

@@ -12,10 +12,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .abstraction import TransitionSystem
+from .abstraction import plant_system
 from .bdd import Manager
 from .bddfile import BddFileError, load, save
-from .grid import SymbolicSet, UniformGrid
+from .grid import UniformGrid
 from .ncs import DelayBounds, NcsLayout, NcsModel
 from .synthesis import Controller, Mode
 
@@ -44,22 +44,12 @@ def _var_roles_ncs(lay):
     roles = []
     for b, v in enumerate(lay.label):
         roles.append({"var": v, "role": "input", "bit": b})
-    for which, regs in (("pre", lay.x_pre), ("post", lay.x_post)):
-        for r, block in enumerate(regs):
-            for b, v in enumerate(block):
-                roles.append({"var": v, "role": which, "block": f"x{r + 1}", "bit": b})
-    for which, regs in (("pre", lay.u_pre), ("post", lay.u_post)):
-        for r, block in enumerate(regs):
-            for b, v in enumerate(block):
-                roles.append({"var": v, "role": which, "block": f"u{r + 1}", "bit": b})
-    for which, regs in (("pre", lay.dsc_pre), ("post", lay.dsc_post)):
-        for r, block in enumerate(regs):
-            for b, v in enumerate(block):
-                roles.append({"var": v, "role": which, "block": f"dsc{r + 1}", "bit": b})
-    for which, regs in (("pre", lay.dca_pre), ("post", lay.dca_post)):
-        for r, block in enumerate(regs):
-            for b, v in enumerate(block):
-                roles.append({"var": v, "role": which, "block": f"dca{r + 1}", "bit": b})
+    for which in ("pre", "post"):
+        for name, regs in zip(("x", "u", "dsc", "dca"), lay.registers(which)):
+            for r, block in enumerate(regs):
+                for b, v in enumerate(block):
+                    roles.append({"var": v, "role": which,
+                                  "block": f"{name}{r + 1}", "bit": b})
     return sorted(roles, key=lambda r: (r["var"], r["role"]))
 
 
@@ -88,19 +78,24 @@ def load_plant_model(path):
     if meta.get("kind") != "plant_model":
         raise BddFileError(f"{path}: expected a plant model, found "
                            f"{meta.get('kind')!r}")
-    mgr = trans.mgr
-    state_grid = _grid_from_meta(meta["state_grid"])
-    input_grid = _grid_from_meta(meta["input_grid"])
-    pre = SymbolicSet(mgr, state_grid, [tuple(v) for v in meta["vars"]["pre"]])
-    pre = pre.with_chi(pre.domain())
-    post = SymbolicSet(mgr, state_grid, [tuple(v) for v in meta["vars"]["post"]])
-    post = post.with_chi(post.domain())
-    inp = SymbolicSet(mgr, input_grid, [tuple(v) for v in meta["vars"]["input"]])
-    inp = inp.with_chi(inp.domain())
-    ts = TransitionSystem(mgr=mgr, pre_set=pre, input_set=inp, post_set=post,
-                          trans=trans, initial=pre.domain(),
-                          tau=meta.get("tau", 0.0), name=meta.get("name", "plant"))
-    return ts, meta
+    return _plant_from_meta(meta, trans.mgr, trans), meta
+
+
+def _plant_from_meta(meta, mgr, trans):
+    ids = tuple([tuple(v) for v in meta["vars"][key]]
+                for key in ("input", "pre", "post"))
+    return plant_system(mgr, _grid_from_meta(meta["state_grid"]),
+                        _grid_from_meta(meta["input_grid"]), ids, trans,
+                        meta.get("tau", 0.0), meta.get("name", "plant"))
+
+
+def _grown_manager(mgr, total):
+    """`mgr`, or a fresh manager, declaring at least `total` variables."""
+    if mgr is None:
+        return Manager(var_count=total)
+    if mgr.var_count < total:
+        mgr.add_vars(total - mgr.var_count)
+    return mgr
 
 
 def _ncs_meta(model):
@@ -158,34 +153,16 @@ def make_shell_ncs_model(meta, mgr=None):
     """Model carcass from controller metadata: layout, grids, and bounds
     for simulation and decoding; the transition relation is not loaded."""
     bounds, lay = _layout_from_meta(meta)
-    total = meta.get("var_base", 0) + lay.var_count
-    if mgr is None:
-        mgr = Manager(var_count=total)
-    elif mgr.var_count < total:
-        mgr.add_vars(total - mgr.var_count)
+    mgr = _grown_manager(mgr, meta.get("var_base", 0) + lay.var_count)
     return NcsModel(mgr=mgr, layout=lay, bounds=bounds, trans=mgr.false,
                     initial=mgr.false, base_name=meta.get("name", "plant"),
                     tau=meta.get("tau", 0.0))
 
 
 def make_shell_plant_model(meta, mgr=None):
-    state_grid = _grid_from_meta(meta["state_grid"])
-    input_grid = _grid_from_meta(meta["input_grid"])
     total = 1 + max(v for vs in meta["vars"].values() for ids in vs for v in ids)
-    if mgr is None:
-        mgr = Manager(var_count=total)
-    elif mgr.var_count < total:
-        mgr.add_vars(total - mgr.var_count)
-    pre = SymbolicSet(mgr, state_grid, [tuple(v) for v in meta["vars"]["pre"]])
-    pre = pre.with_chi(pre.domain())
-    post = SymbolicSet(mgr, state_grid, [tuple(v) for v in meta["vars"]["post"]])
-    post = post.with_chi(post.domain())
-    inp = SymbolicSet(mgr, input_grid, [tuple(v) for v in meta["vars"]["input"]])
-    inp = inp.with_chi(inp.domain())
-    return TransitionSystem(mgr=mgr, pre_set=pre, input_set=inp, post_set=post,
-                            trans=mgr.false, initial=pre.domain(),
-                            tau=meta.get("tau", 0.0),
-                            name=meta.get("name", "plant"))
+    mgr = _grown_manager(mgr, total)
+    return _plant_from_meta(meta, mgr, mgr.false)
 
 
 def _modes_path(path):
@@ -228,10 +205,8 @@ def load_controller(path):
     mgr = relation.mgr
     if meta.get("model_kind") == "ncs":
         model = make_shell_ncs_model(meta, mgr)
-        pre_vars, input_vars = model.pre_vars, model.input_vars
     else:
         model = make_shell_plant_model(meta, mgr)
-        pre_vars, input_vars = model.pre_vars, model.input_vars
     modes = None
     sidecar_path = _modes_path(path)
     if meta.get("dynamic") and sidecar_path.exists():
@@ -243,7 +218,7 @@ def load_controller(path):
                    else load(path.with_name(entry["relation"]), manager=mgr)[0])
             goal = load(path.with_name(entry["goal"]), manager=mgr)[0]
             modes.append(Mode(relation=rel, goal=goal, next_mode=entry["next"]))
-    ctrl = Controller(relation=relation, pre_vars=tuple(sorted(pre_vars)),
-                      input_vars=tuple(input_vars), modes=modes,
+    ctrl = Controller(relation=relation, pre_vars=tuple(sorted(model.pre_vars)),
+                      input_vars=tuple(model.input_vars), modes=modes,
                       stats=dict(meta.get("stats", {})), model=model)
     return ctrl, meta

@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 
 from .bdd import Bdd, Manager
-from .grid import dim_interval
+from .grid import SymbolicSet, dim_interval, read_code, write_code
 
 
 @dataclass(frozen=True)
@@ -64,18 +64,14 @@ def state_code_layout(grid):
     uses; if every code is taken (all per-dimension point counts are
     powers of two) one extra flag bit is appended instead.
     """
-    bits = grid.bits
-    offsets = []
-    off = 0
-    for b in bits:
-        offsets.append(off)
-        off += b
+    bits, offsets = grid.bits, grid.offsets
+    total = grid.total_bits
     candidates = [grid.npoints[d] << offsets[d]
                   for d in range(grid.dim)
                   if grid.npoints[d] < (1 << bits[d])]
     if candidates:
-        return off, min(candidates), tuple(offsets)
-    return off + 1, 1 << off, tuple(offsets)
+        return total, min(candidates), offsets
+    return total + 1, 1 << total, offsets
 
 
 class NcsLayout:
@@ -90,13 +86,12 @@ class NcsLayout:
         s = bounds.nsc_max
         c = bounds.nca_max
         ib = input_grid.total_bits
-        sbq, marker, soffsets = state_code_layout(state_grid)
+        sbq, marker, _ = state_code_layout(state_grid)
         self.s = s
         self.c = c
         self.input_bits = ib
         self.state_bits = sbq
         self.marker_code = marker
-        self.state_dim_offsets = soffsets
         self.sc_range = bounds.sc_range
         self.ca_range = bounds.ca_range
         self.sc_bits = _delay_bits(bounds.sc_range)
@@ -125,46 +120,34 @@ class NcsLayout:
         self.state_grid = state_grid
         self.input_grid = input_grid
 
+    def registers(self, which):
+        """(state, input, sc delay, ca delay) register blocks, "pre" or
+        "post"."""
+        if which == "pre":
+            return self.x_pre, self.u_pre, self.dsc_pre, self.dca_pre
+        return self.x_post, self.u_post, self.dsc_post, self.dca_post
+
     def state_field_ids(self, reg, which="pre"):
         """Per-dimension variable ids of one state register (LSB first)."""
-        block = self.x_pre[reg] if which == "pre" else self.x_post[reg]
-        out = []
-        for off, b in zip(self.state_dim_offsets, self.state_grid.bits):
-            out.append(tuple(block[off + k] for k in range(b)))
-        return tuple(out)
+        return self.state_grid.fields(self.registers(which)[0][reg])
 
     def input_field_ids(self, reg, which="pre"):
-        block = self.u_pre[reg] if which == "pre" else self.u_post[reg]
-        out = []
-        off = 0
-        for b in self.input_grid.bits:
-            out.append(tuple(block[off + k] for k in range(b)))
-            off += b
-        return tuple(out)
+        return self.input_grid.fields(self.registers(which)[1][reg])
 
     def label_field_ids(self):
-        out = []
-        off = 0
-        for b in self.input_grid.bits:
-            out.append(tuple(self.label[off + k] for k in range(b)))
-            off += b
-        return tuple(out)
+        return self.input_grid.fields(self.label)
+
+    def _vars(self, which):
+        return tuple(sorted(v for regs in self.registers(which)
+                            for reg in regs for v in reg))
 
     @property
     def pre_vars(self):
-        vs = [v for reg in self.x_pre for v in reg]
-        vs += [v for reg in self.u_pre for v in reg]
-        vs += [v for reg in self.dsc_pre for v in reg]
-        vs += [v for reg in self.dca_pre for v in reg]
-        return tuple(sorted(vs))
+        return self._vars("pre")
 
     @property
     def post_vars(self):
-        vs = [v for reg in self.x_post for v in reg]
-        vs += [v for reg in self.u_post for v in reg]
-        vs += [v for reg in self.dsc_post for v in reg]
-        vs += [v for reg in self.dca_post for v in reg]
-        return tuple(sorted(vs))
+        return self._vars("post")
 
     @property
     def pre_to_post(self):
@@ -173,6 +156,15 @@ class NcsLayout:
 
 @dataclass
 class NcsModel:
+    """Expanded model over a layout.
+
+    It shares its model protocol with the plant model
+    (`TransitionSystem`): state_grid, input_grid, anchor_set (the cells of
+    the newest state register, which goals and spec sets anchor on),
+    input_set (the controller output, i.e. the label), bounds,
+    state_columns, encode_state, encode_row and decode_row.
+    """
+
     mgr: Manager
     layout: NcsLayout
     bounds: DelayBounds
@@ -190,8 +182,20 @@ class NcsModel:
         self.pre_to_post = lay.pre_to_post
         self.state_grid = lay.state_grid
         self.input_grid = lay.input_grid
+        self.anchor_set = SymbolicSet(self.mgr, lay.state_grid,
+                                      lay.state_field_ids(0))
+        self.input_set = SymbolicSet(self.mgr, lay.input_grid,
+                                     lay.label_field_ids()).full()
         self.state_domain = _state_domain(self.mgr, lay)
-        self.input_domain = _input_valid(self.mgr, lay, lay.label_field_ids())
+        self.input_domain = self.input_set.chi
+        b = self.bounds
+        self.state_columns = tuple(
+            [(f"x{r + 1}_{d}", n) for r in range(lay.s)
+             for d, n in enumerate(lay.state_grid.npoints)]
+            + [(f"u{r + 1}_{d}", n) for r in range(lay.c)
+               for d, n in enumerate(lay.input_grid.npoints)]
+            + [(f"dsc{r + 1}", b.nsc_max + 1) for r in range(lay.s)]
+            + [(f"dca{r + 1}", b.nca_max + 1) for r in range(lay.c)])
 
     @property
     def all_vars(self):
@@ -224,111 +228,89 @@ class NcsModel:
         if not isinstance(assignment, dict):
             sup = self.pre_vars if which == "pre" else self.post_vars
             assignment = dict(zip(sup, assignment))
-        xs = []
-        for i in range(lay.s):
-            block = lay.x_pre[i] if which == "pre" else lay.x_post[i]
-            code = _read_code(assignment, block)
-            if code == lay.marker_code:
-                xs.append(None)
-            else:
-                xs.append(_split_code(code, lay.state_dim_offsets,
-                                      self.state_grid))
-        us = []
-        for i in range(lay.c):
-            fields = lay.input_field_ids(i, which)
-            us.append(tuple(_read_code(assignment, f) for f in fields))
-        dsc = [self.bounds.nsc_min + _read_code(
-            assignment, lay.dsc_pre[i] if which == "pre" else lay.dsc_post[i])
-            for i in range(lay.s)]
-        dca = [self.bounds.nca_min + _read_code(
-            assignment, lay.dca_pre[i] if which == "pre" else lay.dca_post[i])
-            for i in range(lay.c)]
-        return tuple(xs), tuple(us), tuple(dsc), tuple(dca)
+        xs, us, dsc, dca = ([read_code(assignment, reg) for reg in regs]
+                            for regs in lay.registers(which))
+        return (tuple(None if code == lay.marker_code
+                      else self.state_grid.unpack(code) for code in xs),
+                tuple(self.input_grid.unpack(code) for code in us),
+                tuple(self.bounds.nsc_min + code for code in dsc),
+                tuple(self.bounds.nca_min + code for code in dca))
 
     def decode_label(self, assignment):
         if not isinstance(assignment, dict):
             assignment = dict(zip(self.input_vars, assignment))
-        return tuple(_read_code(assignment, f) for f in self.layout.label_field_ids())
+        return self.input_grid.unpack(read_code(assignment, self.layout.label))
 
     def encode_state(self, xs, us, dsc=None, dca=None):
         """Assignment dict for one expanded pre-state; None marks a state
         register with no measurement."""
         lay = self.layout
+        b = self.bounds
         if len(xs) != lay.s or len(us) != lay.c:
             raise ValueError("register vectors have wrong length")
+        if dsc is None:
+            dsc = (b.nsc_max,) * lay.s
+        if dca is None:
+            dca = (b.nca_max,) * lay.c
         assignment = {}
-        for i, x in enumerate(xs):
-            if x is None:
-                code = lay.marker_code
-            else:
-                code = 0
-                for off, idx, n in zip(lay.state_dim_offsets, x,
-                                       self.state_grid.npoints):
-                    if not (0 <= idx < n):
-                        raise ValueError(f"state index {idx} out of range")
-                    code |= idx << off
-            _write_code(assignment, lay.x_pre[i], code)
-        for i, u in enumerate(us):
-            code = 0
-            off = 0
-            for idx, n, b in zip(u, self.input_grid.npoints,
-                                 self.input_grid.bits):
-                if not (0 <= idx < n):
-                    raise ValueError(f"input index {idx} out of range")
-                code |= idx << off
-                off += b
-            _write_code(assignment, lay.u_pre[i], code)
-        for i in range(lay.s):
-            v = (dsc[i] if dsc is not None else self.bounds.nsc_max) - self.bounds.nsc_min
-            _write_code(assignment, lay.dsc_pre[i], v)
-        for i in range(lay.c):
-            v = (dca[i] if dca is not None else self.bounds.nca_max) - self.bounds.nca_min
-            _write_code(assignment, lay.dca_pre[i], v)
+        for reg, x in zip(lay.x_pre, xs):
+            write_code(assignment, reg, lay.marker_code if x is None
+                       else self.state_grid.pack(x))
+        for reg, u in zip(lay.u_pre, us):
+            write_code(assignment, reg, self.input_grid.pack(u))
+        for reg, d in zip(lay.dsc_pre, dsc):
+            write_code(assignment, reg, d - b.nsc_min)
+        for reg, d in zip(lay.dca_pre, dca):
+            write_code(assignment, reg, d - b.nca_min)
         return assignment
 
+    # -- flat state rows (see state_columns) ---------------------------
 
-def _read_code(assignment, block):
-    code = 0
-    for k, v in enumerate(block):
-        code |= (assignment[v] & 1) << k
-    return code
+    def encode_row(self, row):
+        """Assignment of one flat state row; -1 in a state register's first
+        column marks it as holding no measurement."""
+        lay = self.layout
+        n, m = self.state_grid.dim, self.input_grid.dim
+        if len(row) != len(self.state_columns):
+            raise ValueError(f"expanded state needs {len(self.state_columns)} "
+                             f"integers, got {len(row)}")
+        row = tuple(row)
+        xs = [None if row[i] < 0 else row[i:i + n]
+              for i in range(0, lay.s * n, n)]
+        off = lay.s * n
+        us = [row[i:i + m] for i in range(off, off + lay.c * m, m)]
+        off += lay.c * m
+        return self.encode_state(xs, us, row[off:off + lay.s],
+                                 row[off + lay.s:])
 
-
-def _write_code(assignment, block, code):
-    for k, v in enumerate(block):
-        assignment[v] = (code >> k) & 1
-
-
-def _split_code(code, offsets, grid):
-    idx = []
-    for off, b in zip(offsets, grid.bits):
-        idx.append((code >> off) & ((1 << b) - 1))
-    return tuple(idx)
+    def decode_row(self, assignment, which):
+        """Flat state row of the pre or post state of an assignment."""
+        xs, us, dsc, dca = self.decode_state(assignment, which)
+        row = []
+        for x in xs:
+            row.extend((-1,) * self.state_grid.dim if x is None else x)
+        for u in us:
+            row.extend(u)
+        return tuple(row) + dsc + dca
 
 
 def _reg_is_state(mgr, lay, reg, which="pre"):
     """Register holds a real (in-range, non-marker) state symbol."""
-    fields = lay.state_field_ids(reg, which)
-    r = mgr.true
-    for ids, n in zip(fields, lay.state_grid.npoints):
-        r = r & dim_interval(mgr, ids, 0, n - 1)
-    block = lay.x_pre[reg] if which == "pre" else lay.x_post[reg]
-    if lay.state_bits > sum(lay.state_grid.bits):
-        flag = block[-1]
+    r = SymbolicSet(mgr, lay.state_grid,
+                    lay.state_field_ids(reg, which)).domain()
+    if lay.state_bits > lay.state_grid.total_bits:
+        flag = lay.registers(which)[0][reg][-1]
         r = r & ~mgr.var(flag)
     return r
 
 
 def _reg_is_marker(mgr, lay, reg, which="pre"):
-    block = lay.x_pre[reg] if which == "pre" else lay.x_post[reg]
-    return mgr.cube({v: (lay.marker_code >> k) & 1 for k, v in enumerate(block)})
+    block = lay.registers(which)[0][reg]
+    return mgr.cube(write_code({}, block, lay.marker_code))
 
 
 def _input_valid(mgr, lay, fields):
-    r = mgr.true
-    for ids, n in zip(fields, lay.input_grid.npoints):
-        r = r & dim_interval(mgr, ids, 0, n - 1)
-    return r
+    return SymbolicSet(mgr, lay.input_grid, fields).domain()
 
 
 def _delay_valid(mgr, block, rng):
@@ -424,10 +406,10 @@ def _assemble(mgr, lay, bounds, base, input_selector):
             sel = mgr.false
             for combo_sc, combo_ca in combos:
                 cube = {}
-                for i, n in enumerate(combo_sc):
-                    _write_code(cube, lay.dsc_pre[i], n - bounds.nsc_min)
-                for i, n in enumerate(combo_ca):
-                    _write_code(cube, lay.dca_pre[i], n - bounds.nca_min)
+                for reg, n in zip(lay.dsc_pre, combo_sc):
+                    write_code(cube, reg, n - bounds.nsc_min)
+                for reg, n in zip(lay.dca_pre, combo_ca):
+                    write_code(cube, reg, n - bounds.nca_min)
                 sel = sel | mgr.cube(cube)
             core = core | (sel & base_step(c - 1 - j))
 
@@ -465,17 +447,13 @@ def _assemble(mgr, lay, bounds, base, input_selector):
     init = init & _input_valid(mgr, lay, lay.input_field_ids(0))
     for i in range(1, c):
         init = init & mgr.equal_blocks(lay.u_pre[i], lay.u_pre[i - 1])
-    for i in range(s):
-        init = init & mgr.cube(_code_cube(lay.dsc_pre[i], bounds.sc_range - 1))
-    for i in range(c):
-        init = init & mgr.cube(_code_cube(lay.dca_pre[i], bounds.ca_range - 1))
+    for reg in lay.dsc_pre:
+        init = init & mgr.cube(write_code({}, reg, bounds.sc_range - 1))
+    for reg in lay.dca_pre:
+        init = init & mgr.cube(write_code({}, reg, bounds.ca_range - 1))
 
     return NcsModel(mgr=mgr, layout=lay, bounds=bounds, trans=rel, initial=init,
                     base_name=base.name, tau=base.tau)
-
-
-def _code_cube(block, code):
-    return {v: (code >> k) & 1 for k, v in enumerate(block)}
 
 
 def _delay_combos(lo, hi, count):

@@ -20,7 +20,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .grid import OutOfDomainError
-from .ncs import NcsModel
 from .plants import integrate
 
 
@@ -70,6 +69,17 @@ class DelayChannel:
         return [p for _, p in out]
 
 
+class _Wire:
+    """The link of a model without delay channels: a packet arrives in the
+    step it is sent."""
+
+    def send(self, payload, t):
+        self.payload = payload
+
+    def deliver(self, t):
+        return [self.payload]
+
+
 @dataclass
 class StepRecord:
     k: int
@@ -117,23 +127,14 @@ def _flat(idx, npoints):
     return flat
 
 
-def _unflat(flat, npoints):
-    if flat < 0:
-        return None
-    idx = []
-    for n in npoints:
-        idx.append(flat % n)
-        flat //= n
-    return tuple(idx)
-
-
 class ClosedLoop:
     """Simulation state for one plant/controller pair.
 
     With an expanded model the loop reconstructs the full register state
     every step and evaluates the controller on it; the delivered (aged)
-    measurement is logged and drives mode switching.  With a plain plant
-    model the loop is direct: the chosen input acts within the same step.
+    measurement is logged and drives mode switching.  A plain plant model
+    has no delay channels: it is one state register and no input register,
+    and the chosen input acts within the same step.
     """
 
     def __init__(self, plant, controller, x0, model=None, u0=None, seed=0,
@@ -143,7 +144,6 @@ class ClosedLoop:
         self.model = model if model is not None else controller.model
         if self.model is None:
             raise ValueError("a model is required (none attached to controller)")
-        self.networked = isinstance(self.model, NcsModel)
         if channel_mode == "random" and not unsafe:
             raise ValueError(
                 "random-delay channels void the refinement guarantee, which "
@@ -152,76 +152,53 @@ class ClosedLoop:
         self.channel_mode = channel_mode
         self.rng = random.Random(seed)
         self.seed = seed
+        self.state_grid = self.model.state_grid
+        self.input_grid = self.model.input_grid
 
-        if self.networked:
-            self.state_grid = self.model.state_grid
-            self.input_grid = self.model.input_grid
-            b = self.model.bounds
+        b = self.model.bounds
+        if b is not None:
             self.sc = DelayChannel(b.nsc_min, b.nsc_max, channel_mode, self.rng)
             self.ca = DelayChannel(b.nca_min, b.nca_max, channel_mode, self.rng)
-            self.s = self.model.layout.s
-            self.c = self.model.layout.c
+            self.s, self.c = b.nsc_max, b.nca_max
         else:
-            self.state_grid = self.model.pre_set.grid
-            self.input_grid = self.model.input_set.grid
-            self.sc = self.ca = None
-            self.s = 1
-            self.c = 0
+            self.sc, self.ca = _Wire(), _Wire()
+            self.s, self.c = 1, 0
 
         self.x = tuple(float(v) for v in x0)
         self.k = 0
         self.mode = 0
-        self._sample_hist = deque(maxlen=max(self.s, 1))
-        self._output_hist = deque(maxlen=self.c) if self.c else deque()
+        self._sample_hist = deque(maxlen=self.s)
+        self._output_hist = deque(maxlen=self.c)
 
         x0_sym = self.state_grid.point_to_symbol(self.x)
         self._init_mode_and_u0(x0_sym, u0)
-        if self.networked:
-            # preload the actuation channel: the hold applies the
-            # initialization input until the first real output arrives
-            for age in range(self.c, 0, -1):
-                delay = (self.ca.n_max if channel_mode == "prolonged"
-                         else self.rng.randint(self.ca.n_min, self.ca.n_max))
-                self.ca.queue.append((-age, self.u0_idx, delay))
-            for _ in range(self.c):
-                self._output_hist.appendleft(self.u0_idx)
+        # preload the actuation channel: the hold applies the
+        # initialization input until the first real output arrives
+        for age in range(self.c, 0, -1):
+            delay = (self.ca.n_max if channel_mode == "prolonged"
+                     else self.rng.randint(self.ca.n_min, self.ca.n_max))
+            self.ca.queue.append((-age, self.u0_idx, delay))
+            self._output_hist.appendleft(self.u0_idx)
         self.zoh = self.input_grid.center(self.u0_idx)
 
     # ------------------------------------------------------------------
 
-    def _relations(self):
-        if self.controller.modes:
-            return [m.relation for m in self.controller.modes]
-        return [self.controller.relation]
-
     def _assignment(self, x_sym):
         """Expanded-state assignment with x_sym as the newest sample."""
-        if not self.networked:
-            assignment = {}
-            for ids, i in zip(self.model.pre_set.var_ids, x_sym):
-                for b, v in enumerate(ids):
-                    assignment[v] = (i >> b) & 1
-            return assignment
         xs = [x_sym] + list(self._sample_hist)[:self.s - 1]
         xs += [None] * (self.s - len(xs))
-        us = list(self._output_hist)
-        return self.model.encode_state(tuple(xs), tuple(us))
+        return self.model.encode_state(tuple(xs), tuple(self._output_hist))
 
     def _init_mode_and_u0(self, x0_sym, u0):
-        candidates = (_all_input_codes(self.input_grid) if u0 is None
-                      else [_input_code(self.input_grid, u0)])
-        relations = self._relations()
-        for mode_idx, rel in enumerate(relations):
-            for code in candidates:
-                self.u0_idx = _code_to_index(code, self.input_grid)
-                if not self.networked:
-                    a = self._assignment(x0_sym)
-                else:
-                    xs = (x0_sym,) + (None,) * (self.s - 1)
-                    us = (self.u0_idx,) * self.c
-                    a = self.model.encode_state(xs, us)
+        candidates = (list(self.input_grid.indices()) if u0 is None
+                      else [self.input_grid.point_to_symbol(tuple(u0))])
+        xs = (x0_sym,) + (None,) * (self.s - 1)
+        for mode_idx, rel in enumerate(self.controller.mode_relations()):
+            for u in candidates:
+                a = self.model.encode_state(xs, (u,) * self.c)
                 if self.controller.pick_input(a, rel) is not None:
                     self.mode = mode_idx
+                    self.u0_idx = u
                     return
         raise DomainViolation(
             f"initial state {x0_sym} admits no initialization input in any "
@@ -232,32 +209,23 @@ class ClosedLoop:
         k = self.k
         x_sym = self.state_grid.point_to_symbol(self.x)
 
-        delivered = None
-        if self.networked:
-            self.sc.send(x_sym, k)
-            arrivals = self.sc.deliver(k)
-            if arrivals:
-                delivered = arrivals[-1]
-        else:
-            delivered = x_sym
+        self.sc.send(x_sym, k)
+        arrivals = self.sc.deliver(k)
+        delivered = arrivals[-1] if arrivals else None
 
         assignment = self._assignment(x_sym)
-        relations = self._relations()
-        rel = relations[self.mode]
+        rel = self.controller.mode_relations()[self.mode]
         code = self.controller.pick_input(assignment, rel)
         if code is None:
             raise DomainViolation(
                 f"step {k}: controller mode {self.mode} has no input for the "
                 f"expanded state with newest measurement {x_sym}")
-        chosen = _code_to_index(code, self.input_grid)
+        chosen = self.input_grid.unpack(code)
 
-        if self.networked:
-            self.ca.send(chosen, k)
-            u_arrivals = self.ca.deliver(k)
-            if u_arrivals:
-                self.zoh = self.input_grid.center(u_arrivals[-1])
-        else:
-            self.zoh = self.input_grid.center(chosen)
+        self.ca.send(chosen, k)
+        u_arrivals = self.ca.deliver(k)
+        if u_arrivals:
+            self.zoh = self.input_grid.center(u_arrivals[-1])
 
         applied = self.zoh
         x_next = integrate(self.plant, self.x, applied)
@@ -265,10 +233,8 @@ class ClosedLoop:
                             applied=applied, mode=self.mode)
 
         # bookkeeping for the next expanded state
-        if self.networked:
-            self._sample_hist.appendleft(x_sym)
-            if self.c:
-                self._output_hist.appendleft(chosen)
+        self._sample_hist.appendleft(x_sym)
+        self._output_hist.appendleft(chosen)
 
         if self.controller.modes and delivered is not None:
             self._maybe_switch_mode(delivered, x_next, chosen)
@@ -288,7 +254,8 @@ class ClosedLoop:
         except OutOfDomainError:
             return
         a = self._assignment(next_sym)
-        if self.controller.pick_input(a, self._relations()[nxt]) is not None:
+        rel = self.controller.mode_relations()[nxt]
+        if self.controller.pick_input(a, rel) is not None:
             self.mode = nxt
 
     def _eval_on_anchor(self, predicate, symbol):
@@ -298,20 +265,7 @@ class ClosedLoop:
         registers are free (within the state space), so the check is
         satisfiability after fixing the anchor bits to the cell.
         """
-        if not self.networked:
-            assignment = {}
-            for ids, i in zip(self.model.pre_set.var_ids, symbol):
-                for b, v in enumerate(ids):
-                    assignment[v] = (i >> b) & 1
-        else:
-            fields = self.model.layout.state_field_ids(0, "pre")
-            assignment = {}
-            for ids, i in zip(fields, symbol):
-                for b, v in enumerate(ids):
-                    assignment[v] = (i >> b) & 1
-            block = self.model.layout.x_pre[0]
-            for v in block:
-                assignment.setdefault(v, 0)
+        assignment = self.model.anchor_set.assignment(symbol)
         return not predicate.restrict(assignment).is_false
 
     def run(self, steps, stop=None):
@@ -331,39 +285,6 @@ class ClosedLoop:
             "input_npoints": list(self.input_grid.npoints),
         }
         return Trace(records=records, meta=meta)
-
-
-def _input_code(grid, u0):
-    idx = grid.point_to_symbol(tuple(u0))
-    code = 0
-    off = 0
-    for i, b in zip(idx, grid.bits):
-        code |= i << off
-        off += b
-    return code
-
-
-def _all_input_codes(grid):
-    """Packed codes of every valid input cell, ascending."""
-    import itertools
-    codes = []
-    for idx in itertools.product(*(range(n) for n in grid.npoints)):
-        code = 0
-        off = 0
-        for i, b in zip(idx, grid.bits):
-            code |= i << off
-            off += b
-        codes.append(code)
-    return sorted(codes)
-
-
-def _code_to_index(code, grid):
-    idx = []
-    off = 0
-    for b in grid.bits:
-        idx.append((code >> off) & ((1 << b) - 1))
-        off += b
-    return tuple(idx)
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bdd import Bdd
+from .grid import read_code
 
 
 class SynthesisError(Exception):
@@ -76,28 +77,19 @@ class Controller:
         f = rel.restrict(assignment)
         if f.is_false:
             return None
-        code = 0
-        for j in range(len(self.input_vars) - 1, -1, -1):
-            v = self.input_vars[j]
+        bits = {}
+        for v in reversed(self.input_vars):
             f0 = f.restrict({v: 0})
-            if f0.is_false:
-                f = f.restrict({v: 1})
-                code |= 1 << j
-            else:
-                f = f0
-        return code
+            bits[v] = f0.is_false
+            f = f.restrict({v: 1}) if bits[v] else f0
+        return read_code(bits, self.input_vars)
 
     def admissible_inputs(self, assignment, relation=None):
         """All admissible input codes at a state."""
         rel = relation if relation is not None else self.relation
         f = rel.restrict(assignment)
-        out = []
-        for bits in self.mgr.cubes(f, self.input_vars):
-            code = 0
-            for j, bit in enumerate(bits):
-                code |= bit << j
-            out.append(code)
-        return sorted(out)
+        return sorted(read_code(dict(zip(self.input_vars, bits)), self.input_vars)
+                      for bits in self.mgr.cubes(f, self.input_vars))
 
 
 def _valid_pairs(model):

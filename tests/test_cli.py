@@ -84,6 +84,22 @@ class TestToyPipeline:
         synth_manifest = json.loads((out / "synth.manifest.json").read_text())
         assert synth_manifest["sizes"]["empty"] is False
         assert synth_manifest["inputs"]
+        assert str(out / "plant.bdd") in synth_manifest["inputs"]
+
+    def test_reach_run_ends_at_first_target_sample(self, tmp_path):
+        # a reach controller guarantees a visit, not a stay: past the
+        # target it may have no input, so the run must end there
+        cfgp = toy_config(tmp_path, **{
+            "plant.grid": {"lb": [0], "ub": [4], "eta": [1]},
+            "plant.input_grid": {"lb": [-1], "ub": [1], "eta": [1]},
+            "delays": {"nsc_min": 1, "nsc_max": 1, "nca_min": 4, "nca_max": 4},
+            "spec.targets": [[[4], [4]]], "sim.x0": [0], "sim.steps": 40})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgp), "--out", str(out)]) == 0
+        records = json.loads((out / "trace.json").read_text())["records"]
+        assert records[-1]["x"] == [4.0]
+        assert all(r["x"] != [4.0] for r in records[:-1])
+        assert len(records) < 40
 
     def test_run_command_equivalent(self, tmp_path):
         cfgp = toy_config(tmp_path)

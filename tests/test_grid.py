@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncsynth.bdd import Manager
-from ncsynth.grid import OutOfDomainError, SymbolicSet, UniformGrid
+from ncsynth.grid import (OutOfDomainError, SymbolicSet, UniformGrid,
+                          read_code, write_code)
 
 
 def unit_grid():
@@ -118,3 +119,71 @@ def test_box_index_ranges_clip():
     assert g.box_index_ranges((-5.0,), (3.2,)) == [(0, 3)]
     assert g.box_index_ranges((8.0,), (30.0,)) == [(8, 9)]
     assert g.box_index_ranges((20.0,), (30.0,)) is None
+
+
+@st.composite
+def grids(draw, max_dim):
+    """Unit-spaced grids of 1 to max_dim dimensions, 1 to 9 points each."""
+    npoints = draw(st.lists(st.integers(1, 9), min_size=1, max_size=max_dim))
+    lb = draw(st.lists(st.integers(-5, 5), min_size=len(npoints),
+                       max_size=len(npoints)))
+    return UniformGrid(lb=tuple(map(float, lb)),
+                       ub=tuple(float(a + n - 1) for a, n in zip(lb, npoints)),
+                       eta=(1.0,) * len(npoints))
+
+
+class TestCellCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(grid=grids(3))
+    @example(grid=UniformGrid(lb=(0.0, 0.0, 0.0), ub=(1.0, 3.0, 7.0),
+                              eta=(1.0, 1.0, 1.0)))
+    def test_pack_unpack_round_trip(self, grid):
+        codes = [grid.pack(idx) for idx in grid.indices()]
+        # every cell once, in ascending code order, within total_bits
+        assert codes == sorted(set(codes)) and len(codes) == grid.size()
+        assert all(0 <= c < 1 << grid.total_bits for c in codes)
+        for idx, code in zip(grid.indices(), codes):
+            assert grid.unpack(code) == idx
+            # dimension 0 in the low bits, bits[d] bits for dimension d
+            assert code == sum(i << sum(grid.bits[:d])
+                               for d, i in enumerate(idx))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_index_to_variables_and_back(self, data):
+        grid = data.draw(grids(3))
+        mgr = Manager(var_count=3 * grid.total_bits)
+        ids = data.draw(st.permutations(range(mgr.var_count)))
+        fields, off = [], 0
+        for b in grid.bits:
+            fields.append(tuple(ids[off:off + b]))
+            off += b
+        s = SymbolicSet(mgr, grid, fields)
+        assert grid.fields(s.block) == s.var_ids
+        idx = data.draw(st.tuples(*(st.integers(0, n - 1)
+                                    for n in grid.npoints)))
+        a = s.assignment(idx)
+        assert read_code(a, s.block) == grid.pack(idx)
+        # least significant bit first within each dimension's variables
+        for ids_d, i in zip(s.var_ids, idx):
+            assert [a[v] for v in ids_d] == [(i >> k) & 1
+                                             for k in range(len(ids_d))]
+        assert s.decode_index(a) == idx
+        bits = next(iter(mgr.cubes(s.cell_cube(idx), s.support)))
+        assert s.decode_index(bits) == idx
+
+    @settings(max_examples=50, deadline=None)
+    @given(code=st.integers(0, 255), block=st.permutations(range(8)))
+    def test_code_on_a_block(self, code, block):
+        a = write_code({}, block, code)
+        assert read_code(a, block) == code
+        assert a[block[0]] == code & 1
+
+    def test_out_of_range_index_rejected(self):
+        g = UniformGrid(lb=(0.0, 0.0), ub=(4.0, 2.0), eta=(1.0, 1.0))
+        with pytest.raises(ValueError):
+            g.pack((5, 0))
+        with pytest.raises(ValueError):
+            g.pack((0, -1))
+        with pytest.raises(ValueError):
+            planar_set().cell_cube((16, 0))

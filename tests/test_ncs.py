@@ -1,15 +1,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncsynth.bdd import Manager
 from ncsynth.grid import SymbolicSet, UniformGrid
-from ncsynth.ncs import (DelayBounds, expand, expand_spec_set, reachable,
-                         state_code_layout)
+from ncsynth.ncs import (DelayBounds, NcsLayout, NcsModel, expand,
+                         expand_spec_set, reachable, state_code_layout)
 
 from conftest import (build_explicit_ts, decoded_states, decoded_transitions,
                       state_set_to_bdd)
 from oracles import expand_explicit, reachable_explicit
+from test_grid import grids
 
 
 def complete_toy(mgr, n_states=4, n_inputs=2):
@@ -224,3 +226,44 @@ class TestReachable:
             assert all(x is not None for x in xs)
         # reachability stays inside the declared state space
         assert (r & ~model.state_domain).is_false
+
+
+def _cells(grid):
+    return st.tuples(*(st.integers(0, n - 1) for n in grid.npoints))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(),
+       bounds=st.sampled_from([(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 1, 1),
+                               (1, 2, 1, 3), (2, 3, 1, 2)]))
+def test_encode_decode_state_round_trip(data, bounds):
+    """encode_state -> decode_state on random grids (power-of-two sizes
+    take the marker flag bit), with marker registers, at prolonged and at
+    time-varying bounds, where delay registers are present."""
+    state_grid = data.draw(grids(max_dim=2))
+    input_grid = data.draw(grids(max_dim=2))
+    b = DelayBounds(*bounds)
+    lay = NcsLayout(b, state_grid, input_grid)
+    mgr = Manager(var_count=lay.var_count)
+    model = NcsModel(mgr=mgr, layout=lay, bounds=b, trans=mgr.false,
+                     initial=mgr.false)
+    xs = tuple(data.draw(st.none() | _cells(state_grid))
+               for _ in range(b.nsc_max))
+    us = tuple(data.draw(_cells(input_grid)) for _ in range(b.nca_max))
+    dsc = tuple(data.draw(st.integers(b.nsc_min, b.nsc_max))
+                for _ in range(b.nsc_max))
+    dca = tuple(data.draw(st.integers(b.nca_min, b.nca_max))
+                for _ in range(b.nca_max))
+    a = model.encode_state(xs, us, dsc, dca)
+    assert sorted(a) == list(model.pre_vars)
+    assert mgr.evaluate(model.state_domain, a)
+    assert model.decode_state(a) == (xs, us, dsc, dca)
+    bits = tuple(a[v] for v in model.pre_vars)
+    assert model.decode_state(bits) == (xs, us, dsc, dca)
+    # the flat row form carries the same state
+    row = model.decode_row(a, "pre")
+    assert len(row) == len(model.state_columns)
+    assert model.encode_row(row) == a
+    # omitted delays default to the channel maxima
+    assert model.decode_state(model.encode_state(xs, us))[2:] == (
+        (b.nsc_max,) * b.nsc_max, (b.nca_max,) * b.nca_max)
