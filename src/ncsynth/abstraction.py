@@ -30,8 +30,9 @@ class TransitionSystem:
     It shares its model protocol with the expanded model (`NcsModel`):
     state_grid, input_grid, anchor_set (the cells of the newest
     measurement, here the state itself), input_set (the controller
-    output), bounds (None: no delay channels), state_columns,
-    encode_state, encode_row and decode_row.
+    output), bounds (None: no delay channels), state_registers (the
+    state, one register "x"), state_columns, encode_state, encode_row and
+    decode_row.
     """
 
     bounds = None
@@ -60,6 +61,7 @@ class TransitionSystem:
         self.state_grid = self.pre_set.grid
         self.input_grid = self.input_set.grid
         self.anchor_set = self.pre_set
+        self.state_registers = (("x", self.pre_set.block),)
         self.state_columns = tuple((f"x{d}", n) for d, n
                                    in enumerate(self.state_grid.npoints))
 

@@ -4,9 +4,12 @@ simulation -> implementation code, plus the inspection helpers.
 Every stage reads and writes BDD files in the working directory given by
 --out, records a manifest (inputs, hashes, sizes, timings), and can be
 run independently or chained.  Exit codes: 0 ok, 2 configuration or usage
-error, 3 the synthesized controller is empty, 4 the simulation left the
-controller domain.  stdout carries data only (dump, coverage, explore);
-progress and errors go to stderr.
+error (including a model file of another variable layout and a controller
+too wide for the emitted C), 3 the synthesized controller is empty, 4 the
+simulation left the controller domain, 5 a BDD operation recursed past
+Python's recursion limit (the model is too deep; the message names the
+stage).  stdout carries data only (dump, coverage, explore); progress and
+errors go to stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from . import inspect_tools
 from .abstraction import build_abstraction, remove_region
 from .bdd import Manager
 from .bddfile import BddFileError
+from .codegen import CodegenError
 from .config import ConfigError, RunConfig
 from .grid import UniformGrid
 from .modelio import (load_controller, load_ncs_model, load_plant_model,
@@ -37,6 +41,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_EMPTY_CONTROLLER = 3
 EXIT_DOMAIN_VIOLATION = 4
+EXIT_RECURSION = 5
+
+STAGES = ("abstract", "expand", "synth", "sim", "codegen")
 
 
 class UsageError(Exception):
@@ -382,30 +389,30 @@ def build_parser():
     return p
 
 
+def _run_stage(stage, cfg, out_dir, args):
+    if stage == "abstract":
+        cmd_abstract(cfg, out_dir)
+    elif stage == "expand":
+        cmd_expand(cfg, out_dir)
+    elif stage == "synth":
+        cmd_synth(cfg, out_dir)
+    elif stage == "sim":
+        cmd_sim(cfg, out_dir, unsafe=args.unsafe, seed=args.seed)
+    else:
+        cmd_codegen(cfg, out_dir)
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    stage = args.command
     try:
-        if args.command in ("abstract", "expand", "synth", "sim", "codegen", "run"):
+        if args.command in STAGES + ("run",):
             cfg = RunConfig.from_file(args.config)
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            if args.command == "abstract":
-                cmd_abstract(cfg, out_dir)
-            elif args.command == "expand":
-                cmd_expand(cfg, out_dir)
-            elif args.command == "synth":
-                cmd_synth(cfg, out_dir)
-            elif args.command == "sim":
-                cmd_sim(cfg, out_dir, unsafe=args.unsafe, seed=args.seed)
-            elif args.command == "codegen":
-                cmd_codegen(cfg, out_dir)
-            else:
-                cmd_abstract(cfg, out_dir)
-                cmd_expand(cfg, out_dir)
-                cmd_synth(cfg, out_dir)
-                cmd_sim(cfg, out_dir, unsafe=args.unsafe, seed=args.seed)
-                cmd_codegen(cfg, out_dir)
+            for stage in STAGES if args.command == "run" else (args.command,):
+                _run_stage(stage, cfg, out_dir, args)
         elif args.command == "fsm":
             cmd_fsm(args.model, args.to, args.format)
         elif args.command == "dump":
@@ -417,8 +424,8 @@ def main(argv=None):
             cmd_coverage(args.controller, dims)
         elif args.command == "explore":
             cmd_explore(args.model, args.controller)
-    except (ConfigError, UsageError, BddFileError, FileNotFoundError,
-            ValueError) as exc:
+    except (ConfigError, UsageError, BddFileError, CodegenError,
+            FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EmptyController as exc:
@@ -427,6 +434,12 @@ def main(argv=None):
     except DomainViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN_VIOLATION
+    except RecursionError:
+        print(f"error: {stage} stage: a BDD operation recursed deeper than "
+              f"Python's recursion limit ({sys.getrecursionlimit()}); the "
+              f"model has too many variables for the recursive kernel, "
+              f"reduce the delays or the grid", file=sys.stderr)
+        return EXIT_RECURSION
     return EXIT_OK
 
 

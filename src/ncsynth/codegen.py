@@ -89,11 +89,13 @@ def _state_bit_positions(mgr, roots, pre_vars):
     return pos
 
 
-def emit_c(name, bit_funcs, domain, pre_vars, meta=None):
+def emit_c(name, bit_funcs, domain, pre_vars, meta=None, registers=()):
     """C sources for the bit functions, a collector, and the domain
     predicate.  The state is passed as a packed uint64_t whose bit i is
     state variable pre_vars[i]; the collector returns the packed input
-    code.  Returns (header text, source text)."""
+    code.  `registers`, (name, variable ids LSB first) pairs, become one
+    header comment each giving the register's bits in the packed word.
+    Returns (header text, source text)."""
     if len(pre_vars) > 64:
         raise CodegenError(f"state needs {len(pre_vars)} bits; the fixed "
                            f"width API supports at most 64")
@@ -147,7 +149,7 @@ def emit_c(name, bit_funcs, domain, pre_vars, meta=None):
     hl.append("")
     hl.append(f"/* state: {len(pre_vars)} packed bits; input: "
               f"{len(bit_funcs)} packed bits */")
-    for line in _layout_comment(meta):
+    for line in _layout_comment(meta, registers, pre_vars):
         hl.append(f"/* {line} */")
     hl.append("")
     for j in range(len(bit_funcs)):
@@ -160,9 +162,10 @@ def emit_c(name, bit_funcs, domain, pre_vars, meta=None):
     return header, source
 
 
-def emit_verilog(name, bit_funcs, domain, pre_vars, meta=None):
+def emit_verilog(name, bit_funcs, domain, pre_vars, meta=None, registers=()):
     """Combinational module: packed state in, packed input plus a domain
-    valid flag out; one ternary assign per diagram node."""
+    valid flag out; one ternary assign per diagram node.  The header
+    comments are those of `emit_c`."""
     mgr = domain.mgr
     roots = list(bit_funcs) + [domain]
     pos = _state_bit_positions(mgr, roots, pre_vars)
@@ -181,7 +184,7 @@ def emit_verilog(name, bit_funcs, domain, pre_vars, meta=None):
     lines = []
     lines.append(f"// generated controller {name}")
     lines.append(f"// state width {len(pre_vars)}, input width {len(bit_funcs)}")
-    for line in _layout_comment(meta):
+    for line in _layout_comment(meta, registers, pre_vars):
         lines.append(f"// {line}")
     lines.append(f"module {name} (")
     lines.append(f"    input  wire [{sb - 1}:0] state,")
@@ -202,10 +205,9 @@ def emit_verilog(name, bit_funcs, domain, pre_vars, meta=None):
     return "\n".join(lines) + "\n"
 
 
-def _layout_comment(meta):
-    if not meta:
-        return []
+def _layout_comment(meta, registers, pre_vars):
     out = []
+    meta = meta or {}
     if "tau" in meta:
         out.append(f"sampling period: {meta['tau']}")
     d = meta.get("delays")
@@ -213,6 +215,10 @@ def _layout_comment(meta):
         out.append(f"channel delays (samples): sensor-to-controller "
                    f"[{d['nsc_min']};{d['nsc_max']}], controller-to-actuator "
                    f"[{d['nca_min']};{d['nca_max']}]")
+    pos = {v: i for i, v in enumerate(pre_vars)}
+    for reg, block in registers:
+        out.append(f"state word bits of {reg}, LSB first: "
+                   + " ".join(str(pos[v]) for v in block))
     return out
 
 
@@ -223,6 +229,7 @@ def generate(controller, name, meta=None):
     """
     det = determinize(controller)
     mgr = det.mgr
+    registers = det.model.state_registers if det.model is not None else ()
     relations = ([(i, m.relation) for i, m in enumerate(det.modes)]
                  if det.modes else [(None, det.relation)])
     out = []
@@ -230,8 +237,10 @@ def generate(controller, name, meta=None):
         mode_name = name if mode_idx is None else f"{name}_m{mode_idx}"
         bits = decompose_outputs(mgr, rel, det.pre_vars, det.input_vars)
         domain = rel.exists(det.input_vars)
-        header, source = emit_c(mode_name, bits, domain, det.pre_vars, meta)
-        verilog = emit_verilog(mode_name, bits, domain, det.pre_vars, meta)
+        header, source = emit_c(mode_name, bits, domain, det.pre_vars, meta,
+                                registers)
+        verilog = emit_verilog(mode_name, bits, domain, det.pre_vars, meta,
+                               registers)
         out.append({"mode": mode_idx, "name": mode_name, "header": header,
                     "source": source, "verilog": verilog})
     return out

@@ -101,6 +101,8 @@ def bdd_dump(path):
         d = meta["delays"]
         lines.append(f"delays: sc [{d['nsc_min']};{d['nsc_max']}] "
                      f"ca [{d['nca_min']};{d['nca_max']}]")
+    if meta.get("kind") == "ncs_model" or meta.get("model_kind") == "ncs":
+        lines.append(f"layout version: {meta.get('layout_version')}")
     lines.append(f"declared variables: {mgr.var_count}")
     lines.append(f"nodes: {mgr.node_count()}")
     support = sorted(f.support())

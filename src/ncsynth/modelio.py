@@ -16,7 +16,7 @@ from .abstraction import plant_system
 from .bdd import Manager
 from .bddfile import BddFileError, load, save
 from .grid import UniformGrid
-from .ncs import DelayBounds, NcsLayout, NcsModel
+from .ncs import LAYOUT_VERSION, DelayBounds, NcsLayout, NcsModel
 from .synthesis import Controller, Mode
 
 
@@ -45,11 +45,9 @@ def _var_roles_ncs(lay):
     for b, v in enumerate(lay.label):
         roles.append({"var": v, "role": "input", "bit": b})
     for which in ("pre", "post"):
-        for name, regs in zip(("x", "u", "dsc", "dca"), lay.registers(which)):
-            for r, block in enumerate(regs):
-                for b, v in enumerate(block):
-                    roles.append({"var": v, "role": which,
-                                  "block": f"{name}{r + 1}", "bit": b})
+        for name, block in lay.named_registers(which):
+            for b, v in enumerate(block):
+                roles.append({"var": v, "role": which, "block": name, "bit": b})
     return sorted(roles, key=lambda r: (r["var"], r["role"]))
 
 
@@ -108,7 +106,8 @@ def _ncs_meta(model):
         "input_grid": _grid_meta(model.input_grid),
         "delays": {"nsc_min": b.nsc_min, "nsc_max": b.nsc_max,
                    "nca_min": b.nca_min, "nca_max": b.nca_max},
-        "var_base": model.layout.label[0] if model.layout.label else 0,
+        "var_base": model.layout.base,
+        "layout_version": LAYOUT_VERSION,
         "base_deterministic": model.base_deterministic,
         "marker_code": model.layout.marker_code,
         "var_roles": _var_roles_ncs(model.layout),
@@ -135,11 +134,23 @@ def _layout_from_meta(meta):
     return bounds, lay
 
 
+def _check_layout_version(meta, path):
+    """Refuse files whose variables were laid out by another NcsLayout:
+    decoding them with this one would read the wrong bits."""
+    found = meta.get("layout_version")
+    if found != LAYOUT_VERSION:
+        raise BddFileError(
+            f"{path}: expanded-model variable layout version {found!r}, "
+            f"this ncsynth reads version {LAYOUT_VERSION}; re-run "
+            f"`ncsynth expand` and the later stages to rebuild it")
+
+
 def load_ncs_model(path):
     trans, meta = load(path)
     if meta.get("kind") != "ncs_model":
         raise BddFileError(f"{path}: expected an expanded model, found "
                            f"{meta.get('kind')!r}")
+    _check_layout_version(meta, path)
     initial, meta2 = load(_init_path(path), manager=trans.mgr)
     bounds, lay = _layout_from_meta(meta)
     model = NcsModel(mgr=trans.mgr, layout=lay, bounds=bounds, trans=trans,
@@ -176,6 +187,8 @@ def save_controller(ctrl, path, extra_meta=None):
     path = Path(path)
     meta = dict(extra_meta or {})
     meta.setdefault("kind", "controller")
+    if meta.get("model_kind") == "ncs":
+        meta["layout_version"] = LAYOUT_VERSION
     meta["stats"] = {k: v for k, v in ctrl.stats.items()
                      if isinstance(v, (int, float, str, bool))}
     meta["dynamic"] = bool(ctrl.modes)
@@ -204,6 +217,7 @@ def load_controller(path):
                            f"{meta.get('kind')!r}")
     mgr = relation.mgr
     if meta.get("model_kind") == "ncs":
+        _check_layout_version(meta, path)
         model = make_shell_ncs_model(meta, mgr)
     else:
         model = make_shell_plant_model(meta, mgr)

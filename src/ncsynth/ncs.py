@@ -74,12 +74,36 @@ def state_code_layout(grid):
     return total + 1, 1 << total, offsets
 
 
-class NcsLayout:
-    """Variable positions for the expanded model.
+# version of the NcsLayout variable order, stamped into every expanded
+# model and controller file; 1 was the former bit-major order
+LAYOUT_VERSION = 2
 
-    Bits of one register are spread so that a register's pre/post pair and
-    the matching bits of adjacent registers sit next to each other, which
-    keeps the shift-equality relations linear in size.
+
+def _shift_groups(name, n, head=()):
+    """Time slots of a shift chain of n registers: `head` with post[0],
+    then (pre[i], post[i+1]), then the oldest pre register alone."""
+    return ([head + ((name, "post", 0),)]
+            + [((name, "pre", i), (name, "post", i + 1)) for i in range(n - 1)]
+            + [((name, "pre", n - 1),)])
+
+
+class NcsLayout:
+    """Variable positions for the expanded model, in time-slot order.
+
+    Registers that one constraint of the transition relation links share a
+    slot: a contiguous run of variables with their bits interleaved (bit 0
+    of each block, then bit 1, ...).  From the top:
+
+    - inputs: (label, u_post[0]), (u_pre[i], u_post[i+1]) for i < c-1,
+      then u_pre[c-1], the input the plant step applies under prolonged
+      delays, right above it;
+    - states: (x_pre[0], x_post[0], x_post[1]), (x_pre[i], x_post[i+1]),
+      then x_pre[s-1];
+    - sensor-to-controller, then controller-to-actuator delay registers,
+      slotted like the inputs with post[0] (the fresh draw) alone.
+
+    Each shift equality and each validity constraint then spans one slot,
+    so the relation grows linearly with the delays.
     """
 
     def __init__(self, bounds, state_grid, input_grid, base=0):
@@ -89,6 +113,7 @@ class NcsLayout:
         sbq, marker, _ = state_code_layout(state_grid)
         self.s = s
         self.c = c
+        self.base = base
         self.input_bits = ib
         self.state_bits = sbq
         self.marker_code = marker
@@ -97,25 +122,32 @@ class NcsLayout:
         self.sc_bits = _delay_bits(bounds.sc_range)
         self.ca_bits = _delay_bits(bounds.ca_range)
 
-        isec = base
-        ssec = isec + ib * (1 + 2 * c)
-        dsec = ssec + sbq * 2 * s
-        casec = dsec + self.sc_bits * 2 * s
-        self.var_count = casec + self.ca_bits * 2 * c - base
+        # the plant step links x_post[0] to x_pre[0]: they share a slot
+        x = _shift_groups("x", s)
+        states = [x[1][:1] + x[0] + x[1][1:]] + x[2:]
+        groups = (_shift_groups("u", c, head=(("label", "pre", 0),)) + states
+                  + _shift_groups("dsc", s) + _shift_groups("dca", c))
+        width = {"label": ib, "u": ib, "x": sbq,
+                 "dsc": self.sc_bits, "dca": self.ca_bits}
+        blocks = {}
+        v = base
+        for group in groups:
+            for key in group:
+                blocks[key] = []
+            for _ in range(width[group[0][0]]):
+                for key in group:
+                    blocks[key].append(v)
+                    v += 1
+        self.var_count = v - base
 
-        self.label = tuple(isec + j * (1 + 2 * c) for j in range(ib))
-        self.u_pre = tuple(tuple(isec + j * (1 + 2 * c) + 1 + 2 * i
-                                 for j in range(ib)) for i in range(c))
-        self.u_post = tuple(tuple(v + 1 for v in reg) for reg in self.u_pre)
-        self.x_pre = tuple(tuple(ssec + j * 2 * s + 2 * i
-                                 for j in range(sbq)) for i in range(s))
-        self.x_post = tuple(tuple(v + 1 for v in reg) for reg in self.x_pre)
-        self.dsc_pre = tuple(tuple(dsec + j * 2 * s + 2 * i
-                                   for j in range(self.sc_bits)) for i in range(s))
-        self.dsc_post = tuple(tuple(v + 1 for v in reg) for reg in self.dsc_pre)
-        self.dca_pre = tuple(tuple(casec + j * 2 * c + 2 * i
-                                   for j in range(self.ca_bits)) for i in range(c))
-        self.dca_post = tuple(tuple(v + 1 for v in reg) for reg in self.dca_pre)
+        def regs(name, which, n):
+            return tuple(tuple(blocks[name, which, i]) for i in range(n))
+
+        self.label = tuple(blocks["label", "pre", 0])
+        self.u_pre, self.u_post = regs("u", "pre", c), regs("u", "post", c)
+        self.x_pre, self.x_post = regs("x", "pre", s), regs("x", "post", s)
+        self.dsc_pre, self.dsc_post = regs("dsc", "pre", s), regs("dsc", "post", s)
+        self.dca_pre, self.dca_post = regs("dca", "pre", c), regs("dca", "post", c)
 
         self.state_grid = state_grid
         self.input_grid = input_grid
@@ -126,6 +158,14 @@ class NcsLayout:
         if which == "pre":
             return self.x_pre, self.u_pre, self.dsc_pre, self.dca_pre
         return self.x_post, self.u_post, self.dsc_post, self.dca_post
+
+    def named_registers(self, which):
+        """(name, block) of every register, "pre" or "post": x1..xs,
+        u1..uc, dsc1..dscs, dca1..dcac, 1 being the newest."""
+        return [(f"{name}{r + 1}", block)
+                for name, regs in zip(("x", "u", "dsc", "dca"),
+                                      self.registers(which))
+                for r, block in enumerate(regs)]
 
     def state_field_ids(self, reg, which="pre"):
         """Per-dimension variable ids of one state register (LSB first)."""
@@ -151,7 +191,10 @@ class NcsLayout:
 
     @property
     def pre_to_post(self):
-        return {a: a + 1 for a in self.pre_vars}
+        return {a: b for pre, post in zip(self.registers("pre"),
+                                          self.registers("post"))
+                for pre_reg, post_reg in zip(pre, post)
+                for a, b in zip(pre_reg, post_reg)}
 
 
 @dataclass
@@ -162,7 +205,8 @@ class NcsModel:
     (`TransitionSystem`): state_grid, input_grid, anchor_set (the cells of
     the newest state register, which goals and spec sets anchor on),
     input_set (the controller output, i.e. the label), bounds,
-    state_columns, encode_state, encode_row and decode_row.
+    state_registers, state_columns, encode_state, encode_row and
+    decode_row.
     """
 
     mgr: Manager
@@ -188,6 +232,8 @@ class NcsModel:
                                      lay.label_field_ids()).full()
         self.state_domain = _state_domain(self.mgr, lay)
         self.input_domain = self.input_set.chi
+        self.state_registers = tuple((name, block) for name, block
+                                     in lay.named_registers("pre") if block)
         b = self.bounds
         self.state_columns = tuple(
             [(f"x{r + 1}_{d}", n) for r in range(lay.s)

@@ -71,18 +71,32 @@ class Controller:
         """Smallest admissible input code at a state, or None.
 
         The order is the packed binary input code, matching the
-        determinization rule used for code emission.
+        determinization rule used for code emission.  One memoised walk
+        of the relation, allocating no nodes: state variables follow the
+        assignment, input bit b branches and weighs 1 << b, and an input
+        bit the path skips is free and so counts as 0.
         """
         rel = relation if relation is not None else self.relation
-        f = rel.restrict(assignment)
-        if f.is_false:
-            return None
-        bits = {}
-        for v in reversed(self.input_vars):
-            f0 = f.restrict({v: 0})
-            bits[v] = f0.is_false
-            f = f.restrict({v: 1}) if bits[v] else f0
-        return read_code(bits, self.input_vars)
+        weight = {v: 1 << b for b, v in enumerate(self.input_vars)}
+        nodes = self.mgr._nodes
+        memo = {0: None, 1: 0}
+
+        def least(r):
+            if r in memo:
+                return memo[r]
+            v, lo, hi = nodes[r]
+            bit = assignment.get(v)
+            if bit is not None and v not in weight:
+                res = least(hi if bit else lo)
+            else:
+                # an input bit, or a state bit the assignment leaves free
+                up = least(hi)
+                res = _min_code(least(lo),
+                                None if up is None else up + weight.get(v, 0))
+            memo[r] = res
+            return res
+
+        return least(rel.ref)
 
     def admissible_inputs(self, assignment, relation=None):
         """All admissible input codes at a state."""
@@ -90,6 +104,15 @@ class Controller:
         f = rel.restrict(assignment)
         return sorted(read_code(dict(zip(self.input_vars, bits)), self.input_vars)
                       for bits in self.mgr.cubes(f, self.input_vars))
+
+
+def _min_code(a, b):
+    """Smaller of two input codes, None meaning no input."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
 
 
 def _valid_pairs(model):

@@ -6,9 +6,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from ncsynth.abstraction import TransitionSystem, allocate_layout
+from ncsynth.abstraction import (TransitionSystem, allocate_layout,
+                                 build_abstraction)
 from ncsynth.bdd import Manager
 from ncsynth.grid import SymbolicSet, UniformGrid
+from ncsynth.plants import robot
 
 
 @pytest.fixture
@@ -93,3 +95,10 @@ def _scalarize(decoded):
     xs, us, dsc, dca = decoded
     return (tuple(x if x is None else x[0] for x in xs),
             tuple(u[0] for u in us), tuple(dsc), tuple(dca))
+
+
+def integrator_1d():
+    """Plant model of the 1-D integrator: 5 cells, inputs -1..1."""
+    return build_abstraction(robot(tau=1.0, dim=1),
+                             UniformGrid(lb=(0.0,), ub=(4.0,), eta=(1.0,)),
+                             UniformGrid(lb=(-1.0,), ub=(1.0,), eta=(1.0,)))

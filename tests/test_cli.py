@@ -275,3 +275,66 @@ class TestStreams:
         art = captured.out.splitlines()
         assert len(art) == 3 and all(len(row) == 3 for row in art)
         assert captured.err == ""
+
+
+def integrator_config(tmp_path, delays, ub=4):
+    """1-D integrator on cells 0..ub with inputs -1..1, safety on all."""
+    cfg = {"plant": {"name": "robot", "params": {"dim": 1}, "tau": 1.0,
+                     "grid": {"lb": [0], "ub": [ub], "eta": [1]},
+                     "input_grid": {"lb": [-1], "ub": [1], "eta": [1]}},
+           "delays": dict(zip(("nsc_min", "nsc_max", "nca_min", "nca_max"),
+                              delays)),
+           "spec": {"kind": "safety", "safe": [[[0], [ub]]]},
+           "sim": {"steps": 5, "x0": [ub // 2], "seed": 0}}
+    p = tmp_path / "integrator.json"
+    p.write_text(json.dumps(cfg))
+    return p
+
+
+class TestCleanFailures:
+    """Known limits end with a message and an exit code, not a traceback."""
+
+    def test_state_wider_than_64_bits_exits_2(self, tmp_path, capsys):
+        # 201 cells: eight 8-bit state registers plus a 2-bit input register
+        cfgp = integrator_config(tmp_path, (8, 8, 1, 1), ub=200)
+        rc = main(["run", "--config", str(cfgp), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: state needs 66 bits" in err
+        assert "Traceback" not in err
+
+    def test_recursion_limit_exits_5(self, tmp_path, capsys):
+        cfgp = integrator_config(tmp_path, (2, 2, 300, 300))
+        out = str(tmp_path / "o")
+        assert main(["abstract", "--config", str(cfgp), "--out", out]) == 0
+        capsys.readouterr()
+        rc = main(["expand", "--config", str(cfgp), "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err.startswith("error: expand stage: ")
+        assert "recursion limit" in err and "Traceback" not in err
+
+    def test_files_of_another_layout_rejected(self, tmp_path, capsys):
+        from ncsynth.bddfile import load, save
+        cfgp = toy_config(tmp_path)
+        out = tmp_path / "out"
+        for stage in ("abstract", "expand", "synth"):
+            assert main([stage, "--config", str(cfgp), "--out", str(out)]) == 0
+        assert main(["dump", str(out / "ncs.bdd")]) == 0
+        assert "layout version: 2" in capsys.readouterr().out
+        # files written before the layout version existed carry no key
+        for name in ("ncs.bdd", "controller.bdd"):
+            f, meta = load(out / name)
+            del meta["layout_version"]
+            save(f, meta, out / name)
+        assert main(["dump", str(out / "ncs.bdd")]) == 0
+        assert "layout version: None" in capsys.readouterr().out
+        for argv in (["fsm", str(out / "ncs.bdd"), "--to",
+                      str(tmp_path / "rel.csv")],
+                     ["synth", "--config", str(cfgp), "--out", str(out)],
+                     ["sim", "--config", str(cfgp), "--out", str(out)],
+                     ["codegen", "--config", str(cfgp), "--out", str(out)]):
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert "re-run `ncsynth expand`" in err, argv[0]

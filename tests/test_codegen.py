@@ -1,4 +1,5 @@
 import ctypes
+import itertools
 import random
 import re
 import shutil
@@ -12,7 +13,7 @@ from ncsynth.codegen import (CodegenError, decompose_outputs, determinize,
                              is_deterministic_relation)
 from ncsynth.synthesis import solve_gen_buchi, solve_reach, solve_safety
 
-from conftest import build_explicit_ts, state_set_to_bdd
+from conftest import build_explicit_ts, integrator_1d, state_set_to_bdd
 from oracles import random_game
 
 
@@ -272,3 +273,42 @@ class TestGenerate:
         c = determinize(solve_safety(ts, ts.state_domain))
         with pytest.raises(CodegenError):
             emit_c("wide", [], c.domain, tuple(range(70)))
+
+
+class TestStateWordLayout:
+    def test_header_bit_positions_pack_the_state_word(self, tmp_path):
+        from ncsynth.ncs import DelayBounds, expand, expand_spec_set
+        base = integrator_1d()
+        model = expand(base, DelayBounds(2, 2, 2, 2))
+        target = expand_spec_set(base.pre_set.empty().add_box((4.0,), (4.0,)),
+                                 model)
+        ctrl = solve_reach(model, target)
+        (art,) = generate(ctrl, "slot")
+        positions = {name: [int(p) for p in bits.split()] for name, bits in
+                     re.findall(r"state word bits of (\w+), LSB first: "
+                                r"([\d ]+) \*/", art["header"])}
+        assert sorted(positions) == ["u1", "u2", "x1", "x2"]
+        assert (sorted(p for ps in positions.values() for p in ps)
+                == list(range(len(model.pre_vars))))
+        c_ctrl, c_dom = compile_and_load(tmp_path, "slot", art["header"],
+                                         art["source"])
+        lay = model.layout
+        cells = [None] + [(i,) for i in range(5)]
+        inputs = [(i,) for i in range(3)]
+        for xs in itertools.product(cells, repeat=2):
+            for us in itertools.product(inputs, repeat=2):
+                codes = {"x1": xs[0], "x2": xs[1], "u1": us[0], "u2": us[1]}
+                header_word = 0
+                for name, value in codes.items():
+                    code = (lay.marker_code if value is None
+                            else (model.input_grid if name[0] == "u"
+                                  else model.state_grid).pack(value))
+                    for b, p in enumerate(positions[name]):
+                        header_word |= ((code >> b) & 1) << p
+                a = model.encode_state(xs, us)
+                word = sum(a[v] << i for i, v in enumerate(model.pre_vars))
+                assert header_word == word
+                u = ctrl.pick_input(a)
+                assert c_dom(word) == (u is not None)
+                if u is not None:
+                    assert c_ctrl(word) == u

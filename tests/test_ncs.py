@@ -9,7 +9,7 @@ from ncsynth.ncs import (DelayBounds, NcsLayout, NcsModel, expand,
                          expand_spec_set, reachable, state_code_layout)
 
 from conftest import (build_explicit_ts, decoded_states, decoded_transitions,
-                      state_set_to_bdd)
+                      integrator_1d, state_set_to_bdd)
 from oracles import expand_explicit, reachable_explicit
 from test_grid import grids
 
@@ -267,3 +267,31 @@ def test_encode_decode_state_round_trip(data, bounds):
     # omitted delays default to the channel maxima
     assert model.decode_state(model.encode_state(xs, us))[2:] == (
         (b.nsc_max,) * b.nsc_max, (b.nca_max,) * b.nca_max)
+
+
+def _dag_size(f):
+    """Internal nodes reachable from f."""
+    nodes = f.mgr._nodes
+    seen, stack = set(), [f.ref]
+    while stack:
+        r = stack.pop()
+        if r > 1 and r not in seen:
+            seen.add(r)
+            stack.extend(nodes[r][1:])
+    return len(seen)
+
+
+@pytest.mark.parametrize("channel", ["nca", "nsc"])
+def test_relation_and_domain_grow_linearly_with_delay(channel):
+    # 1-D integrator, 5 cells, inputs -1..1; one channel's delay n runs
+    # 1..8 with the other at 2.  Every added register adds a fixed number
+    # of nodes (a layout whose constraints span the registers doubles).
+    base = integrator_1d()
+    sizes = {}
+    for n in range(1, 9):
+        bounds = (2, 2, n, n) if channel == "nca" else (n, n, 2, 2)
+        model = expand(base, DelayBounds(*bounds))
+        sizes[n] = (_dag_size(model.trans), _dag_size(model.state_domain))
+    for k in (0, 1):
+        steps = {sizes[n][k] - sizes[n - 1][k] for n in range(3, 9)}
+        assert len(steps) == 1 and steps.pop() > 0, (channel, k, sizes)

@@ -1,11 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncsynth.bdd import Manager
-from ncsynth.synthesis import (SynthesisError, cpre, solve_gen_buchi,
-                               solve_persistence, solve_reach,
-                               solve_recurrence, solve_safety)
+from ncsynth.synthesis import (Controller, SynthesisError, cpre,
+                               solve_gen_buchi, solve_persistence,
+                               solve_reach, solve_recurrence, solve_safety)
 
 from conftest import build_explicit_ts, state_set_to_bdd
 from oracles import (all_pairs, cpre_explicit, random_game,
@@ -339,3 +340,24 @@ def test_iteration_counts_reported():
     c = solve_reach(ts, state_set_to_bdd(ts, [4]))
     assert c.stats["iterations"] >= 4
     assert c.stats["kind"] == "reach"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pick_input_is_smallest_admissible(data):
+    # a random relation over state and input variables in a random
+    # interleaving, probed at a random state
+    n_state = data.draw(st.integers(1, 5))
+    n_input = data.draw(st.integers(0, 4))
+    n = n_state + n_input
+    order = data.draw(st.permutations(range(n)))
+    input_vars = tuple(sorted(order[:n_input]))
+    pre_vars = tuple(sorted(order[n_input:]))
+    mgr = Manager(var_count=n)
+    codes = data.draw(st.sets(st.integers(0, (1 << n) - 1)))
+    ctrl = Controller(relation=mgr.from_minterms(range(n), codes),
+                      pre_vars=pre_vars, input_vars=input_vars)
+    state = data.draw(st.integers(0, (1 << n_state) - 1))
+    a = {v: (state >> i) & 1 for i, v in enumerate(pre_vars)}
+    admissible = ctrl.admissible_inputs(a)
+    assert ctrl.pick_input(a) == (min(admissible) if admissible else None)
