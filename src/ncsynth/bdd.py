@@ -5,9 +5,18 @@ is a boolean function over a fixed variable order, so this module is the
 single source of canonicity: within one manager, two functions are equal
 iff their root references are equal.
 
-Variable index doubles as level (index 0 is closest to the root).  There
-are no complement edges; negation is a cached traversal.  A manager and
-all functions it owns are confined to one thread of control at a time.
+Variable index doubles as level (index 0 is closest to the root).  A
+manager and all functions it owns are confined to one thread of control
+at a time.
+
+There are no complement edges; negation is a cached traversal.  The
+controllable predecessor negates nothing that changes between calls (it
+uses the dual product `forall_or` against a negated relation formed
+once), so O(1) negation would buy little, and in CPython the parity
+bookkeeping it adds to every recursive step cost more than it saved (see
+ROADMAP, direction 1).  Plain edges also keep ``_nodes[ref]`` a
+``(var, lo, hi)`` triple with ROBDD semantics, which the file writer and
+the code emitters read directly.
 """
 
 from __future__ import annotations
@@ -17,42 +26,55 @@ import bisect
 FALSE = 0
 TRUE = 1
 
-_OPS = {"and": 0, "or": 1, "xor": 2}
+_OPS = ("and", "or", "xor")
 _LEVEL_INF = 1 << 60
-
-# cache tags (first tuple element); apply() uses its op code 0/1/2 directly
-_TAG_NEG = 3
-_TAG_QUANT = 4
-_TAG_ANDEX = 5
-_TAG_RENAME = 6
-_TAG_ITE = 7
 
 
 class BddError(Exception):
     """Misuse of the engine (bad variable, manager mismatch, ...)."""
 
 
+class _Uncached(dict):
+    """A computed table that keeps nothing (``cache_enabled=False``)."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key, value):
+        pass
+
+
 class Manager:
     """Owner of a shared node store.
 
     Garbage collection is an epoch sweep: it only runs at public operation
-    boundaries, once the node count exceeds ``gc_threshold``.  Functions
-    that must survive a sweep are pinned; the `Bdd` wrapper pins its root
-    for its own lifetime, so holding wrappers is enough.
+    boundaries, once the entries held (nodes plus computed-table entries,
+    which cost about the same memory each) exceed ``gc_threshold``.  The
+    sweep drops every computed table.  Functions that must survive a
+    sweep are pinned; the `Bdd` wrapper pins its root for its own
+    lifetime, so holding wrappers is enough.
     """
 
-    def __init__(self, var_count=0, cache_enabled=True, gc_threshold=1 << 20):
+    def __init__(self, var_count=0, cache_enabled=True, gc_threshold=3 << 20):
         if var_count < 0:
             raise BddError("var_count must be nonnegative")
         self.var_count = var_count
         self._nodes = {}    # ref -> (var, lo, hi)
         self._unique = {}   # (var, lo, hi) -> ref
         self._next = 2      # refs 0/1 reserved for FALSE/TRUE
-        self._cache = {}
-        self._cache_enabled = cache_enabled
+        table = dict if cache_enabled else _Uncached
+        self._and_cache = table()       # (f, g) -> ref, f < g
+        self._or_cache = table()        # (f, g) -> ref, f < g
+        self._neg_cache = table()       # f -> ref
+        self._ite_cache = table()       # (f, g, h) -> ref
+        self._exand_cache = table()     # (f, g, varset token) -> ref, f < g
+        self._forall_cache = table()    # (f, g, varset token) -> ref, f < g
+        self._rename_cache = table()    # (f, map token) -> ref
+        self._tables = (self._and_cache, self._or_cache, self._neg_cache,
+                        self._ite_cache, self._exand_cache,
+                        self._forall_cache, self._rename_cache)
         self._gc_threshold = gc_threshold
         self._pins = {}     # ref -> pin count
-        self._varset_tokens = {}
+        self._varsets = {}  # sorted vars -> (token, level table, last var)
         self._map_tokens = {}
 
     # ------------------------------------------------------------------
@@ -70,15 +92,15 @@ class Manager:
             self._nodes[ref] = key
         return ref
 
-    def _level(self, ref):
-        return self._nodes[ref][0] if ref > 1 else _LEVEL_INF
-
     def node_count(self):
         """Number of live internal nodes (terminals excluded)."""
         return len(self._nodes)
 
     def _entry(self):
-        if len(self._nodes) > self._gc_threshold:
+        held = len(self._nodes)
+        for table in self._tables:
+            held += len(table)
+        if held > self._gc_threshold:
             self.collect()
 
     def _pin(self, ref):
@@ -103,7 +125,8 @@ class Manager:
         self._unpin(f.ref)
 
     def collect(self):
-        """Sweep nodes unreachable from pinned roots; drops the op cache."""
+        """Sweep nodes unreachable from pinned roots; drops the computed
+        tables."""
         nodes = self._nodes
         live = set()
         stack = list(self._pins)
@@ -117,9 +140,11 @@ class Manager:
             stack.append(hi)
         self._nodes = {r: nodes[r] for r in live}
         self._unique = {k: r for r, k in self._nodes.items()}
-        self._cache = {}
-        # back off when the live set itself fills the budget, otherwise the
-        # cache would be wiped on every operation
+        for table in self._tables:
+            table.clear()
+        # right after a sweep the live nodes are all the entries held; back
+        # off when they fill most of the budget, otherwise the computed
+        # tables would be wiped on every operation
         if len(live) > self._gc_threshold * 3 // 4:
             self._gc_threshold *= 2
 
@@ -154,13 +179,6 @@ class Manager:
             self._check_var(v)
         return t
 
-    def _varset_token(self, t):
-        tok = self._varset_tokens.get(t)
-        if tok is None:
-            tok = len(self._varset_tokens)
-            self._varset_tokens[t] = tok
-        return tok
-
     def _check_owned(self, *fs):
         for f in fs:
             if not isinstance(f, Bdd) or f.mgr is not self:
@@ -168,71 +186,130 @@ class Manager:
 
     # ------------------------------------------------------------------
     # boolean combinators
+    #
+    # Each operation has its own recursion and computed table.  A
+    # recursion is entered only on operands that are not a terminal case:
+    # the entry function and every recursive step test those cases first,
+    # so no call is spent on a result known without looking at nodes.
 
     def apply(self, op, f, g):
-        code = _OPS.get(op)
-        if code is None:
+        if op not in _OPS:
             raise BddError(f"unknown operator {op!r}")
         self._check_owned(f, g)
         self._entry()
-        return Bdd(self, self._apply(code, f.ref, g.ref))
+        f, g = f.ref, g.ref
+        if op == "and":
+            return Bdd(self, self._and(f, g))
+        if op == "or":
+            return Bdd(self, self._or(f, g))
+        return Bdd(self, self._ite(f, self._neg(g), g))
 
-    def _apply(self, op, f, g):
-        if op == 0:
-            if f == 0 or g == 0:
-                return 0
-            if f == 1:
-                return g
-            if g == 1:
-                return f
-            if f == g:
-                return f
-        elif op == 1:
-            if f == 1 or g == 1:
-                return 1
-            if f == 0:
-                return g
-            if g == 0:
-                return f
-            if f == g:
-                return f
-        else:
-            if f == g:
-                return 0
-            if f == 0:
-                return g
-            if g == 0:
-                return f
-            if f == 1:
-                return self._neg(g)
-            if g == 1:
-                return self._neg(f)
-        if f > g:
-            f, g = g, f
-        key = (op, f, g)
-        cached = self._cache_enabled
-        if cached:
-            r = self._cache.get(key)
-            if r is not None:
-                return r
+    def _and(self, f, g):
+        if f == g or g == 1:
+            return f
+        if f == 1:
+            return g
+        if f == 0 or g == 0:
+            return 0
+        return self._and_rec(f, g) if f < g else self._and_rec(g, f)
+
+    def _and_rec(self, f, g):
+        # 1 < f < g
+        key = (f, g)
+        cache = self._and_cache
+        r = cache.get(key)
+        if r is not None:
+            return r
         nodes = self._nodes
-        fv, flo, fhi = nodes[f]
-        gv, glo, ghi = nodes[g]
-        if fv == gv:
-            v = fv
-            lo = self._apply(op, flo, glo)
-            hi = self._apply(op, fhi, ghi)
-        elif fv < gv:
-            v = fv
-            lo = self._apply(op, flo, g)
-            hi = self._apply(op, fhi, g)
+        v, flo, fhi = nodes[f]
+        w, glo, ghi = nodes[g]
+        if v < w:
+            glo = ghi = g
+        elif w < v:
+            v = w
+            flo = fhi = f
+        rec = self._and_rec
+        if flo == glo or glo == 1:
+            lo = flo
+        elif flo == 1:
+            lo = glo
+        elif flo == 0 or glo == 0:
+            lo = 0
         else:
-            v = gv
-            lo = self._apply(op, f, glo)
-            hi = self._apply(op, f, ghi)
-        r = self._make(v, lo, hi)
-        if cached:
-            self._cache[key] = r
+            lo = rec(flo, glo) if flo < glo else rec(glo, flo)
+        if fhi == ghi or ghi == 1:
+            hi = fhi
+        elif fhi == 1:
+            hi = ghi
+        elif fhi == 0 or ghi == 0:
+            hi = 0
+        else:
+            hi = rec(fhi, ghi) if fhi < ghi else rec(ghi, fhi)
+        if lo == hi:
+            r = lo
+        else:
+            node = (v, lo, hi)
+            r = self._unique.get(node)
+            if r is None:
+                r = self._next
+                self._next = r + 1
+                self._unique[node] = r
+                nodes[r] = node
+        cache[key] = r
+        return r
+
+    def _or(self, f, g):
+        if f == g or g == 0:
+            return f
+        if f == 0:
+            return g
+        if f == 1 or g == 1:
+            return 1
+        return self._or_rec(f, g) if f < g else self._or_rec(g, f)
+
+    def _or_rec(self, f, g):
+        # 1 < f < g
+        key = (f, g)
+        cache = self._or_cache
+        r = cache.get(key)
+        if r is not None:
+            return r
+        nodes = self._nodes
+        v, flo, fhi = nodes[f]
+        w, glo, ghi = nodes[g]
+        if v < w:
+            glo = ghi = g
+        elif w < v:
+            v = w
+            flo = fhi = f
+        rec = self._or_rec
+        if flo == glo or glo == 0:
+            lo = flo
+        elif flo == 0:
+            lo = glo
+        elif flo == 1 or glo == 1:
+            lo = 1
+        else:
+            lo = rec(flo, glo) if flo < glo else rec(glo, flo)
+        if fhi == ghi or ghi == 0:
+            hi = fhi
+        elif fhi == 0:
+            hi = ghi
+        elif fhi == 1 or ghi == 1:
+            hi = 1
+        else:
+            hi = rec(fhi, ghi) if fhi < ghi else rec(ghi, fhi)
+        if lo == hi:
+            r = lo
+        else:
+            node = (v, lo, hi)
+            r = self._unique.get(node)
+            if r is None:
+                r = self._next
+                self._next = r + 1
+                self._unique[node] = r
+                nodes[r] = node
+        cache[key] = r
         return r
 
     def negate(self, f):
@@ -241,20 +318,14 @@ class Manager:
         return Bdd(self, self._neg(f.ref))
 
     def _neg(self, f):
-        if f == 0:
-            return 1
-        if f == 1:
-            return 0
-        key = (_TAG_NEG, f)
-        cached = self._cache_enabled
-        if cached:
-            r = self._cache.get(key)
-            if r is not None:
-                return r
+        if f <= 1:
+            return 1 - f
+        r = self._neg_cache.get(f)
+        if r is not None:
+            return r
         v, lo, hi = self._nodes[f]
         r = self._make(v, self._neg(lo), self._neg(hi))
-        if cached:
-            self._cache[key] = r
+        self._neg_cache[f] = r
         return r
 
     def ite(self, f, g, h):
@@ -263,133 +334,209 @@ class Manager:
         return Bdd(self, self._ite(f.ref, g.ref, h.ref))
 
     def _ite(self, f, g, h):
-        if f == 1:
-            return g
-        if f == 0:
-            return h
+        if f <= 1:
+            return g if f else h
         if g == h:
             return g
-        if g == 1 and h == 0:
-            return f
-        if g == 0 and h == 1:
-            return self._neg(f)
-        key = (_TAG_ITE, f, g, h)
-        cached = self._cache_enabled
-        if cached:
-            r = self._cache.get(key)
-            if r is not None:
-                return r
+        if g <= 1 and h <= 1:
+            return f if g else self._neg(f)
+        if g == 1 or g == f:
+            return self._or(f, h)
+        if h == 0 or h == f:
+            return self._and(f, g)
+        key = (f, g, h)
+        cache = self._ite_cache
+        r = cache.get(key)
+        if r is not None:
+            return r
         nodes = self._nodes
-        v = min(self._level(f), self._level(g), self._level(h))
-        if f > 1 and nodes[f][0] == v:
-            _, flo, fhi = nodes[f]
-        else:
-            flo = fhi = f
-        if g > 1 and nodes[g][0] == v:
-            _, glo, ghi = nodes[g]
+        v, flo, fhi = nodes[f]
+        if g > 1:
+            w, glo, ghi = nodes[g]
+            if w < v:
+                v = w
+                flo = fhi = f
+            elif w > v:
+                glo = ghi = g
         else:
             glo = ghi = g
-        if h > 1 and nodes[h][0] == v:
-            _, hlo, hhi = nodes[h]
+        if h > 1:
+            w, hlo, hhi = nodes[h]
+            if w < v:
+                v = w
+                flo = fhi = f
+                glo = ghi = g
+            elif w > v:
+                hlo = hhi = h
         else:
             hlo = hhi = h
-        r = self._make(v, self._ite(flo, glo, hlo), self._ite(fhi, ghi, hhi))
-        if cached:
-            self._cache[key] = r
+        rec = self._ite
+        lo = glo if flo == 1 else hlo if flo == 0 else rec(flo, glo, hlo)
+        hi = ghi if fhi == 1 else hhi if fhi == 0 else rec(fhi, ghi, hhi)
+        if lo == hi:
+            r = lo
+        else:
+            node = (v, lo, hi)
+            r = self._unique.get(node)
+            if r is None:
+                r = self._next
+                self._next = r + 1
+                self._unique[node] = r
+                nodes[r] = node
+        cache[key] = r
         return r
 
     # ------------------------------------------------------------------
     # quantification
+    #
+    # A variable set is normalised once into (token, level table, last
+    # level): the table marks the quantified levels, and below the last
+    # one a product is a plain AND (OR).  The operands' top level and the
+    # set fix how far the set is consumed, so the computed tables key on
+    # (f, g, token) alone.
+
+    def _varset(self, vars):
+        t = self._norm_vars(vars)
+        vs = self._varsets.get(t)
+        if vs is None:
+            last = t[-1] if t else -1
+            levels = bytearray(last + 1)
+            for v in t:
+                levels[v] = 1
+            vs = (len(self._varsets), levels, last)
+            self._varsets[t] = vs
+        return vs
 
     def quantify(self, kind, f, vars):
         if kind not in ("exists", "forall"):
             raise BddError(f"unknown quantifier {kind!r}")
         self._check_owned(f)
-        t = self._norm_vars(vars)
+        vs = self._varset(vars)
         self._entry()
-        tok = self._varset_token(t)
-        return Bdd(self, self._quant(kind == "forall", f.ref, t, 0, tok))
-
-    def _quant(self, conj, f, vars, i, tok):
-        if f <= 1:
-            return f
-        v, lo, hi = self._nodes[f]
-        n = len(vars)
-        while i < n and vars[i] < v:
-            i += 1
-        if i == n:
-            return f
-        key = (_TAG_QUANT, conj, f, tok, i)
-        cached = self._cache_enabled
-        if cached:
-            r = self._cache.get(key)
-            if r is not None:
-                return r
-        if vars[i] == v:
-            a = self._quant(conj, lo, vars, i + 1, tok)
-            b = self._quant(conj, hi, vars, i + 1, tok)
-            r = self._apply(0 if conj else 1, a, b)
-        else:
-            r = self._make(v,
-                           self._quant(conj, lo, vars, i, tok),
-                           self._quant(conj, hi, vars, i, tok))
-        if cached:
-            self._cache[key] = r
-        return r
+        if kind == "exists":
+            return Bdd(self, self._exist_and(1, f.ref, vs))
+        return Bdd(self, self._forall_or(0, f.ref, vs))
 
     def exist_and(self, f, g, vars):
         """exists vars . (f & g), computed in one pass (relational product)."""
         self._check_owned(f, g)
-        t = self._norm_vars(vars)
+        vs = self._varset(vars)
         self._entry()
-        tok = self._varset_token(t)
-        return Bdd(self, self._and_ex(f.ref, g.ref, t, 0, tok))
+        return Bdd(self, self._exist_and(f.ref, g.ref, vs))
 
-    def _and_ex(self, f, g, vars, i, tok):
+    def forall_or(self, f, g, vars):
+        """forall vars . (f | g), computed in one pass: the dual of
+        `exist_and`, so that a universal image needs no negation of a
+        function that changes from call to call."""
+        self._check_owned(f, g)
+        vs = self._varset(vars)
+        self._entry()
+        return Bdd(self, self._forall_or(f.ref, g.ref, vs))
+
+    def _exist_and(self, f, g, vs):
         if f == 0 or g == 0:
             return 0
-        if f == 1:
-            return self._quant(False, g, vars, i, tok)
-        if g == 1 or f == g:
-            return self._quant(False, f, vars, i, tok)
         if f > g:
             f, g = g, f
+        if f == g:
+            f = 1
+        if g == 1:
+            return 1
+        # f < g and g is not a terminal; f may be TRUE
         nodes = self._nodes
-        fv = nodes[f][0]
-        gv = nodes[g][0]
-        v = fv if fv < gv else gv
-        n = len(vars)
-        while i < n and vars[i] < v:
-            i += 1
-        if i == n:
-            return self._apply(0, f, g)
-        key = (_TAG_ANDEX, f, g, tok, i)
-        cached = self._cache_enabled
-        if cached:
-            r = self._cache.get(key)
-            if r is not None:
-                return r
-        if fv == v:
-            _, flo, fhi = nodes[f]
+        v, glo, ghi = nodes[g]
+        if f > 1:
+            w, flo, fhi = nodes[f]
+            if w < v:
+                v = w
+                glo = ghi = g
+            elif w > v:
+                flo = fhi = f
         else:
             flo = fhi = f
-        if gv == v:
-            _, glo, ghi = nodes[g]
-        else:
-            glo = ghi = g
-        if vars[i] == v:
-            a = self._and_ex(flo, glo, vars, i + 1, tok)
-            if a == 1:
-                r = 1
+        tok, levels, last = vs
+        if v > last:
+            return self._and(f, g)
+        key = (f, g, tok)
+        cache = self._exand_cache
+        r = cache.get(key)
+        if r is not None:
+            return r
+        rec = self._exist_and
+        if levels[v]:
+            a = 0 if flo == 0 or glo == 0 else rec(flo, glo, vs)
+            if a == 1 or fhi == 0 or ghi == 0:
+                r = a
             else:
-                b = self._and_ex(fhi, ghi, vars, i + 1, tok)
-                r = self._apply(1, a, b)
+                b = rec(fhi, ghi, vs)
+                r = a if a == b or b == 0 else b if a == 0 else self._or(a, b)
         else:
-            r = self._make(v,
-                           self._and_ex(flo, glo, vars, i, tok),
-                           self._and_ex(fhi, ghi, vars, i, tok))
-        if cached:
-            self._cache[key] = r
+            lo = 0 if flo == 0 or glo == 0 else rec(flo, glo, vs)
+            hi = 0 if fhi == 0 or ghi == 0 else rec(fhi, ghi, vs)
+            if lo == hi:
+                r = lo
+            else:
+                node = (v, lo, hi)
+                r = self._unique.get(node)
+                if r is None:
+                    r = self._next
+                    self._next = r + 1
+                    self._unique[node] = r
+                    nodes[r] = node
+        cache[key] = r
+        return r
+
+    def _forall_or(self, f, g, vs):
+        if f == 1 or g == 1:
+            return 1
+        if f > g:
+            f, g = g, f
+        if f == g:
+            f = 0
+        if g == 0:
+            return 0
+        # f < g and g is not a terminal; f may be FALSE
+        nodes = self._nodes
+        v, glo, ghi = nodes[g]
+        if f > 1:
+            w, flo, fhi = nodes[f]
+            if w < v:
+                v = w
+                glo = ghi = g
+            elif w > v:
+                flo = fhi = f
+        else:
+            flo = fhi = f
+        tok, levels, last = vs
+        if v > last:
+            return self._or(f, g)
+        key = (f, g, tok)
+        cache = self._forall_cache
+        r = cache.get(key)
+        if r is not None:
+            return r
+        rec = self._forall_or
+        if levels[v]:
+            a = 1 if flo == 1 or glo == 1 else rec(flo, glo, vs)
+            if a == 0 or fhi == 1 or ghi == 1:
+                r = a
+            else:
+                b = rec(fhi, ghi, vs)
+                r = a if a == b or b == 1 else b if a == 1 else self._and(a, b)
+        else:
+            lo = 1 if flo == 1 or glo == 1 else rec(flo, glo, vs)
+            hi = 1 if fhi == 1 or ghi == 1 else rec(fhi, ghi, vs)
+            if lo == hi:
+                r = lo
+            else:
+                node = (v, lo, hi)
+                r = self._unique.get(node)
+                if r is None:
+                    r = self._next
+                    self._next = r + 1
+                    self._unique[node] = r
+                    nodes[r] = node
+        cache[key] = r
         return r
 
     # ------------------------------------------------------------------
@@ -413,35 +560,29 @@ class Manager:
             self._check_var(s)
             self._check_var(t)
         self._entry()
-        # fast structural relabel is sound iff the map, extended with the
-        # identity on unmapped variables, preserves the level order
-        ext = list(range(self.var_count))
-        for s, t in items:
-            ext[s] = t
-        monotone = all(ext[i] < ext[i + 1] for i in range(len(ext) - 1))
         tok = self._map_token(items)
-        return Bdd(self, self._rename(f.ref, dict(items), tok, monotone))
+        return Bdd(self, self._rename(f.ref, dict(items), tok))
 
-    def _rename(self, f, m, tok, monotone):
+    def _rename(self, f, m, tok):
         if f <= 1:
             return f
-        key = (_TAG_RENAME, f, tok)
-        cached = self._cache_enabled
-        if cached:
-            r = self._cache.get(key)
-            if r is not None:
-                return r
+        key = (f, tok)
+        r = self._rename_cache.get(key)
+        if r is not None:
+            return r
         v, lo, hi = self._nodes[f]
-        nv = m.get(v, v)
-        a = self._rename(lo, m, tok, monotone)
-        b = self._rename(hi, m, tok, monotone)
-        if monotone:
-            r = self._make(nv, a, b)
-        else:
-            r = self._ite(self._make(nv, FALSE, TRUE), b, a)
-        if cached:
-            self._cache[key] = r
+        r = self._relabel(m.get(v, v), self._rename(lo, m, tok),
+                          self._rename(hi, m, tok))
+        self._rename_cache[key] = r
         return r
+
+    def _relabel(self, v, lo, hi):
+        """The function "v ? hi : lo" for a relabelled node: a plain node
+        when v lies above both cofactors, an ite otherwise."""
+        nodes = self._nodes
+        if (lo <= 1 or v < nodes[lo][0]) and (hi <= 1 or v < nodes[hi][0]):
+            return self._make(v, lo, hi)
+        return self._ite(self._make(v, FALSE, TRUE), hi, lo)
 
     def import_function(self, f, var_map):
         """Copy a function from another manager, relabeling per var_map.
@@ -454,11 +595,8 @@ class Manager:
         if src is self:
             return self.rename(f, var_map)
         self._entry()
-        items = sorted(var_map.items())
-        for _, t in items:
+        for t in var_map.values():
             self._check_var(t)
-        monotone = all(items[i][1] < items[i + 1][1]
-                       for i in range(len(items) - 1))
         memo = {0: 0, 1: 1}
         src_nodes = src._nodes
 
@@ -471,12 +609,7 @@ class Manager:
                 nv = var_map[v]
             except KeyError:
                 raise BddError(f"variable {v} of source not in import map") from None
-            a = rec(lo)
-            b = rec(hi)
-            if monotone:
-                res = self._make(nv, a, b)
-            else:
-                res = self._ite(self._make(nv, FALSE, TRUE), b, a)
+            res = self._relabel(nv, rec(lo), rec(hi))
             memo[r] = res
             return res
 
@@ -664,7 +797,7 @@ class Manager:
             nb = self._make(b, TRUE, FALSE)
             pb = self._make(b, FALSE, TRUE)
             x = self._make(a, nb, pb)
-            r = self._apply(0, x, r)
+            r = self._and(x, r)
         return Bdd(self, r)
 
 

@@ -9,7 +9,8 @@ too wide for the emitted C), 3 the synthesized controller is empty, 4 the
 simulation left the controller domain, 5 a BDD operation recursed past
 Python's recursion limit (the model is too deep; the message names the
 stage).  stdout carries data only (dump, coverage, explore); progress and
-errors go to stderr.
+errors go to stderr.  A reader that closes stdout early (``ncsynth dump
+f | head``) ends the command quietly, with exit 0.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -287,17 +289,18 @@ def cmd_codegen(cfg, out_dir):
             "only emitted for prolonged-delay models (equal lower and upper "
             "delay bounds per channel), where buffering makes the closed "
             "loop refine the symbolic guarantee")
-    arts = codegen_mod.generate(ctrl, cfg.codegen.name, meta)
+    arts = codegen_mod.generate(ctrl, cfg.codegen.name, meta,
+                                cfg.codegen.targets)
     outputs = []
     for art in arts:
         base = Path(out_dir) / art["name"]
-        if "c" in cfg.codegen.targets:
+        if "header" in art:
             hp = base.with_suffix(".h")
             cp = base.with_suffix(".c")
             hp.write_text(art["header"])
             cp.write_text(art["source"])
             outputs += [hp, cp]
-        if "verilog" in cfg.codegen.targets:
+        if "verilog" in art:
             vp = base.with_suffix(".v")
             vp.write_text(art["verilog"])
             outputs.append(vp)
@@ -424,6 +427,12 @@ def main(argv=None):
             cmd_coverage(args.controller, dims)
         elif args.command == "explore":
             cmd_explore(args.model, args.controller)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush
+        # at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ConfigError, UsageError, BddFileError, CodegenError,
             FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -222,10 +222,14 @@ def _layout_comment(meta, registers, pre_vars):
     return out
 
 
-def generate(controller, name, meta=None):
-    """Emit all artifacts for a controller; one artifact set per mode.
+def generate(controller, name, meta=None, targets=("c", "verilog")):
+    """Emit the artifacts of the back ends in `targets` for a controller;
+    one artifact set per mode.
 
-    Returns a list of dicts with keys mode, name, header, source, verilog.
+    Returns a list of dicts with keys mode and name, plus header and
+    source for "c" and verilog for "verilog".  A back end that is not
+    asked for does not run, so the C limit of 64 state bits does not
+    stop a netlist.
     """
     det = determinize(controller)
     mgr = det.mgr
@@ -237,10 +241,12 @@ def generate(controller, name, meta=None):
         mode_name = name if mode_idx is None else f"{name}_m{mode_idx}"
         bits = decompose_outputs(mgr, rel, det.pre_vars, det.input_vars)
         domain = rel.exists(det.input_vars)
-        header, source = emit_c(mode_name, bits, domain, det.pre_vars, meta,
-                                registers)
-        verilog = emit_verilog(mode_name, bits, domain, det.pre_vars, meta,
-                               registers)
-        out.append({"mode": mode_idx, "name": mode_name, "header": header,
-                    "source": source, "verilog": verilog})
+        art = {"mode": mode_idx, "name": mode_name}
+        if "c" in targets:
+            art["header"], art["source"] = emit_c(
+                mode_name, bits, domain, det.pre_vars, meta, registers)
+        if "verilog" in targets:
+            art["verilog"] = emit_verilog(mode_name, bits, domain, det.pre_vars,
+                                          meta, registers)
+        out.append(art)
     return out

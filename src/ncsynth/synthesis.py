@@ -131,13 +131,25 @@ def _nonblocking(model):
     return cached
 
 
-def cpre(model, Z):
-    """Controllable predecessor of a set of state-input pairs."""
-    mgr = model.mgr
-    proj = Z.exists(model.input_vars)
-    proj_post = proj.rename(model.pre_to_post)
-    escapes = mgr.exist_and(model.trans, ~proj_post, model.post_vars)
-    return _nonblocking(model) & ~escapes
+def _not_trans(model):
+    cached = getattr(model, "_not_trans", None)
+    if cached is None:
+        cached = ~model.trans
+        model._not_trans = cached
+    return cached
+
+
+def cpre(model, Z, allowed=None):
+    """Controllable predecessor of a set of state-input pairs, within
+    `allowed` (a subset of the nonblocking pairs, all of them by default).
+
+    Computed as allowed & forall post.(~trans | P'), with P' the
+    projection of Z renamed onto the successor register: the dual of the
+    relational product, so no function that changes per call is negated.
+    """
+    proj_post = Z.exists(model.input_vars).rename(model.pre_to_post)
+    closed = model.mgr.forall_or(_not_trans(model), proj_post, model.post_vars)
+    return (_nonblocking(model) if allowed is None else allowed) & closed
 
 
 def _pairs(model, states):
@@ -147,10 +159,11 @@ def _pairs(model, states):
 def solve_safety(model, safe):
     """Greatest fixed point: stay inside `safe` forever."""
     constraint = _pairs(model, safe)
+    allowed = _nonblocking(model) & constraint
     Z = constraint
     iterations = 0
     while True:
-        nxt = cpre(model, Z) & constraint
+        nxt = cpre(model, Z, allowed)
         iterations += 1
         if nxt == Z:
             break
@@ -164,14 +177,16 @@ def _reach_fixpoint(model, target_pairs, within=None, collect=True):
     """Least fixed point of target_pairs | cpre(Z), optionally constrained
     to `within` pairs at every step.  Returns (winning pairs, first-entry
     relation, iterations)."""
-    Z = target_pairs if within is None else (target_pairs & within)
+    allowed = _nonblocking(model)
+    Z = target_pairs
+    if within is not None:
+        allowed = allowed & within
+        Z = Z & within
     relation = Z
     domain = Z.exists(model.input_vars)
     iterations = 0
     while True:
-        step = cpre(model, Z)
-        if within is not None:
-            step = step & within
+        step = cpre(model, Z, allowed)
         nxt = Z | step
         iterations += 1
         if nxt == Z:

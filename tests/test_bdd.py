@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncsynth.bdd import Bdd, BddError, Manager
+from ncsynth.synthesis import cpre
 
-from oracles import (bdd_to_tt, tt_and, tt_count, tt_exists, tt_forall,
-                     tt_mask, tt_not, tt_or, tt_to_codes, tt_xor)
+from conftest import build_explicit_ts
+from oracles import (bdd_to_tt, random_game, tt_and, tt_count, tt_exists,
+                     tt_forall, tt_mask, tt_not, tt_or, tt_to_codes, tt_xor)
 
 
 def make(mgr, tt, n):
@@ -219,6 +221,61 @@ def test_exist_and_matches_two_step():
         assert mgr.exist_and(f, g, vars) == (f & g).exists(vars)
 
 
+def _operand_pool(rng, n, k):
+    """Truth tables of k random functions plus the shapes that reach the
+    kernels' terminal cases: constants, a literal, and a function next to
+    its complement."""
+    a = rng.randrange(tt_mask(n) + 1)
+    pool = [0, tt_mask(n), tt_mask(n) >> (1 << (n - 1)), a, tt_not(a, n)]
+    return pool + [rng.randrange(tt_mask(n) + 1) for _ in range(k)]
+
+
+@pytest.mark.parametrize("cache_enabled", [False, True])
+def test_forall_or_and_ite_match_oracle(cache_enabled):
+    rng = random.Random(41)
+    n = 6
+    mgr = fresh(n, cache_enabled=cache_enabled)
+    pool = _operand_pool(rng, n, 12)
+    for _ in range(150):
+        a, b, c = (rng.choice(pool) for _ in range(3))
+        f, g, h = (make(mgr, t, n) for t in (a, b, c))
+        vars = rng.sample(range(n), rng.randint(0, n))
+        want = tt_or(a, b)
+        for p in vars:
+            want = tt_forall(want, n, p)
+        assert bdd_to_tt(mgr.forall_or(f, g, vars), range(n)) == want
+        want = tt_and(a, b)
+        for p in vars:
+            want = tt_exists(want, n, p)
+        assert bdd_to_tt(mgr.exist_and(f, g, vars), range(n)) == want
+        assert bdd_to_tt(mgr.ite(f, g, h), range(n)) == tt_or(
+            tt_and(a, b), tt_and(tt_not(a, n), c))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_cpre_matches_negated_relational_product(seed):
+    rng = random.Random(seed)
+    states, inputs, trans = random_game(rng, 24, 3)
+    mgr = Manager()
+    ts = build_explicit_ts(mgr, len(states), len(inputs), trans)
+    Z, within = mgr.false, mgr.false
+    for x in states:
+        for u in inputs:
+            pair = ts.pre_set.cell_cube((x,)) & ts.input_set.cell_cube((u,))
+            if rng.random() < 0.6:
+                Z = Z | pair
+            if rng.random() < 0.7:
+                within = within | pair
+    # cpre before the dual form, kept as the reference
+    nonblocking = ts.trans.exists(ts.post_vars)
+    proj_post = Z.exists(ts.input_vars).rename(ts.pre_to_post)
+    escapes = mgr.exist_and(ts.trans, ~proj_post, ts.post_vars)
+    reference = nonblocking & ~escapes
+    assert cpre(ts, Z) == reference
+    assert cpre(ts, Z, nonblocking & within) == reference & within
+
+
 def test_from_minterms_matches_cube_fold():
     rng = random.Random(23)
     mgr = fresh(6)
@@ -276,6 +333,31 @@ def test_garbage_collection_keeps_pinned():
     mgr.collect()
     assert bdd_to_tt(keep, range(6)) == tt
     assert mgr.node_count() <= 80
+
+
+def test_sweep_counts_computed_table_entries():
+    # f reads the even variables only, so quantifying odd ones returns f:
+    # every such operation fills the computed tables and makes no node
+    budget = 1000
+    mgr = fresh(16, gc_threshold=budget)
+    evens, odds = list(range(0, 16, 2)), list(range(1, 16, 2))
+    tt = random.Random(8).randrange(tt_mask(8) + 1)
+    f = mgr.from_minterms(evens, tt_to_codes(tt, 8))
+    sweeps = []
+    sweep = mgr.collect
+
+    def counted():
+        sweeps.append(mgr.node_count())
+        sweep()
+
+    mgr.collect = counted
+    for k in range(1, 5):
+        for vars in itertools.combinations(odds, k):
+            assert f.exists(vars) == f
+            assert f.forall(vars) == f
+    assert sweeps
+    assert max(sweeps) < budget
+    assert bdd_to_tt(f, evens) == tt
 
 
 def test_explicit_pin_survives_collection():

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -276,6 +279,24 @@ class TestStreams:
         assert len(art) == 3 and all(len(row) == 3 for row in art)
         assert captured.err == ""
 
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # `ncsynth dump plant.bdd | head -1`, with the reader gone before
+        # the command prints anything
+        cfgp = toy_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["abstract", "--config", str(cfgp), "--out", str(out)]) == 0
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ncsynth.cli", "dump", str(out / "plant.bdd")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0, err
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+
 
 def integrator_config(tmp_path, delays, ub=4):
     """1-D integrator on cells 0..ub with inputs -1..1, safety on all."""
@@ -302,6 +323,21 @@ class TestCleanFailures:
         assert rc == 2
         assert "error: state needs 66 bits" in err
         assert "Traceback" not in err
+
+    def test_verilog_only_codegen_has_no_width_limit(self, tmp_path, capsys):
+        # the 66-bit state above, with only the netlist asked for
+        cfgp = integrator_config(tmp_path, (8, 8, 1, 1), ub=200)
+        cfg = json.loads(cfgp.read_text())
+        cfg["codegen"] = {"targets": ["verilog"], "name": "wide"}
+        cfgp.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        rc = main(["run", "--config", str(cfgp), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 0, err
+        assert "input  wire [65:0] state," in (out / "wide.v").read_text()
+        assert not list(out.glob("wide.[ch]"))
+        manifest = json.loads((out / "codegen.manifest.json").read_text())
+        assert manifest["sizes"]["targets"] == ["verilog"]
 
     def test_recursion_limit_exits_5(self, tmp_path, capsys):
         cfgp = integrator_config(tmp_path, (2, 2, 300, 300))
