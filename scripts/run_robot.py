@@ -6,8 +6,8 @@ obstacle removal, network expansion, alternating-targets synthesis (a two
 mode controller), a 500-step closed-loop run, and code emission.  Prints
 a coverage map and a visit summary at the end.
 
-Expect a few minutes of synthesis time; everything is exact, there is no
-sampling involved.
+Expect about a minute of synthesis time (about 65 s on a 2-core machine);
+everything is exact, there is no sampling involved.
 """
 
 import argparse

@@ -8,9 +8,10 @@ error (including a model file of another variable layout and a controller
 too wide for the emitted C), 3 the synthesized controller is empty, 4 the
 simulation left the controller domain, 5 a BDD operation recursed past
 Python's recursion limit (the model is too deep; the message names the
-stage).  stdout carries data only (dump, coverage, explore); progress and
-errors go to stderr.  A reader that closes stdout early (``ncsynth dump
-f | head``) ends the command quietly, with exit 0.
+stage), 6 a stage ran out of memory (the message names the stage).
+stdout carries data only (dump, coverage, explore); progress and errors
+go to stderr.  A reader that closes stdout early (``ncsynth dump f |
+head``) ends the command quietly, with exit 0.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ EXIT_CONFIG = 2
 EXIT_EMPTY_CONTROLLER = 3
 EXIT_DOMAIN_VIOLATION = 4
 EXIT_RECURSION = 5
+EXIT_OUT_OF_MEMORY = 6
 
 STAGES = ("abstract", "expand", "synth", "sim", "codegen")
 
@@ -449,6 +451,12 @@ def main(argv=None):
               f"model has too many variables for the recursive kernel, "
               f"reduce the delays or the grid", file=sys.stderr)
         return EXIT_RECURSION
+    except MemoryError:
+        print(f"error: {stage} stage: out of memory; the BDDs of this model "
+              f"outgrew the memory available to the process, reduce the "
+              f"delays or the grid, or raise the memory limit",
+              file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
     return EXIT_OK
 
 

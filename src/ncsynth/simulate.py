@@ -135,6 +135,11 @@ class ClosedLoop:
     measurement is logged and drives mode switching.  A plain plant model
     has no delay channels: it is one state register and no input register,
     and the chosen input acts within the same step.
+
+    The controller's answers are memoised per loop: the input per (mode,
+    register contents) and the goal check per (mode, delivered cell).  Both
+    are pure functions of those keys, and a deterministic controller soon
+    revisits the same keys, so the BDDs are asked once per distinct key.
     """
 
     def __init__(self, plant, controller, x0, model=None, u0=None, seed=0,
@@ -169,6 +174,8 @@ class ClosedLoop:
         self.mode = 0
         self._sample_hist = deque(maxlen=self.s)
         self._output_hist = deque(maxlen=self.c)
+        self._picks = {}
+        self._goal_hits = {}
 
         x0_sym = self.state_grid.point_to_symbol(self.x)
         self._init_mode_and_u0(x0_sym, u0)
@@ -188,6 +195,22 @@ class ClosedLoop:
         xs = [x_sym] + list(self._sample_hist)[:self.s - 1]
         xs += [None] * (self.s - len(xs))
         return self.model.encode_state(tuple(xs), tuple(self._output_hist))
+
+    def _pick(self, mode, x_sym):
+        """Input index vector chosen in `mode` with x_sym as the newest
+        sample, or None when the mode admits no input there.
+
+        The key holds every input of `_assignment`; the delay registers
+        always take their defaults.
+        """
+        key = (mode, x_sym, tuple(self._sample_hist)[:self.s - 1],
+               tuple(self._output_hist))
+        if key not in self._picks:
+            rel = self.controller.mode_relations()[mode]
+            code = self.controller.pick_input(self._assignment(x_sym), rel)
+            self._picks[key] = (None if code is None
+                                else self.input_grid.unpack(code))
+        return self._picks[key]
 
     def _init_mode_and_u0(self, x0_sym, u0):
         candidates = (list(self.input_grid.indices()) if u0 is None
@@ -213,14 +236,11 @@ class ClosedLoop:
         arrivals = self.sc.deliver(k)
         delivered = arrivals[-1] if arrivals else None
 
-        assignment = self._assignment(x_sym)
-        rel = self.controller.mode_relations()[self.mode]
-        code = self.controller.pick_input(assignment, rel)
-        if code is None:
+        chosen = self._pick(self.mode, x_sym)
+        if chosen is None:
             raise DomainViolation(
                 f"step {k}: controller mode {self.mode} has no input for the "
                 f"expanded state with newest measurement {x_sym}")
-        chosen = self.input_grid.unpack(code)
 
         self.ca.send(chosen, k)
         u_arrivals = self.ca.deliver(k)
@@ -237,25 +257,26 @@ class ClosedLoop:
         self._output_hist.appendleft(chosen)
 
         if self.controller.modes and delivered is not None:
-            self._maybe_switch_mode(delivered, x_next, chosen)
+            self._maybe_switch_mode(delivered, x_next)
 
         self.x = x_next
         self.k = k + 1
         return record
 
-    def _maybe_switch_mode(self, delivered, x_next, chosen):
+    def _maybe_switch_mode(self, delivered, x_next):
         mode = self.controller.modes[self.mode]
-        goal_hit = self._eval_on_anchor(mode.goal, delivered)
-        if not goal_hit:
+        key = (self.mode, delivered)
+        if key not in self._goal_hits:
+            self._goal_hits[key] = self._eval_on_anchor(mode.goal, delivered)
+        if not self._goal_hits[key]:
             return
         nxt = mode.next_mode
         try:
             next_sym = self.state_grid.point_to_symbol(x_next)
         except OutOfDomainError:
             return
-        a = self._assignment(next_sym)
-        rel = self.controller.mode_relations()[nxt]
-        if self.controller.pick_input(a, rel) is not None:
+        # the question step k + 1 asks in the new mode, so a hit there
+        if self._pick(nxt, next_sym) is not None:
             self.mode = nxt
 
     def _eval_on_anchor(self, predicate, symbol):

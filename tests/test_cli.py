@@ -374,3 +374,18 @@ class TestCleanFailures:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
             assert "re-run `ncsynth expand`" in err, argv[0]
+
+    def test_out_of_memory_exits_6(self, tmp_path, capsys, monkeypatch):
+        from ncsynth import cli
+
+        def exhausted(cfg, out_dir):
+            raise MemoryError
+
+        cfgp = toy_config(tmp_path)
+        monkeypatch.setattr(cli, "cmd_synth", exhausted)
+        rc = main(["synth", "--config", str(cfgp), "--out",
+                   str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 6
+        assert err.startswith("error: synth stage: out of memory")
+        assert "Traceback" not in err

@@ -191,6 +191,111 @@ class TestModeProgression:
         assert sum(1 for v in xs if v <= 1) >= 2
 
 
+@pytest.fixture(scope="class")
+def buchi_line():
+    """Two-mode gen_buchi controller on the 1-D line at delays (2,2,1,1):
+    the closed loop shuttles between the ends and so revisits its states."""
+    from ncsynth.synthesis import solve_gen_buchi
+    plant, ts, model = line_setup(n=9, bounds=(2, 2, 1, 1))
+    ends = [ts.pre_set.empty().add_box((8.0,), (9.0,)),
+            ts.pre_set.empty().add_box((0.0,), (1.0,))]
+    c = solve_gen_buchi(model, [expand_spec_set(t, model) for t in ends])
+    assert len(c.modes) == 2
+    return plant, model, c
+
+
+def loop_registers(model, trace, x_end):
+    """Register contents (xs, us) the controller sees at each step k of a
+    trace, k = 0..len(trace), rebuilt from the trace alone; x_end is the
+    state after the last step."""
+    grid, b = model.state_grid, model.bounds
+    records = trace.records
+    syms = [grid.point_to_symbol(r.x) for r in records]
+    syms.append(grid.point_to_symbol(x_end))
+    # the hold applies the initialization input until the first output
+    u0 = model.input_grid.point_to_symbol(records[0].applied)
+    outputs = [r.chosen for r in records]
+    regs = []
+    for k in range(len(syms)):
+        xs = tuple(syms[k - i] if k - i >= 0 else None
+                   for i in range(b.nsc_max))
+        us = tuple(outputs[k - 1 - j] if k - 1 - j >= 0 else u0
+                   for j in range(b.nca_max))
+        regs.append((xs, us))
+    return regs
+
+
+class TestMemoisedDecisions:
+    """Long closed loops against the unmemoised controller questions."""
+
+    STEPS = 1200
+
+    def goal_hit(self, model, c, mode, delivered):
+        goal = c.modes[mode].goal
+        return not goal.restrict(model.anchor_set.assignment(delivered)).is_false
+
+    def test_matches_unmemoised_reference(self, buchi_line):
+        plant, model, c = buchi_line
+        loop = ClosedLoop(plant, c, x0=(4.0,))
+        trace = loop.run(self.STEPS)
+        regs = loop_registers(model, trace, loop.x)
+        records = trace.records
+        assert len(records) == self.STEPS
+        for k, r in enumerate(records):
+            code = c.pick_input(model.encode_state(*regs[k]),
+                                c.modes[r.mode].relation)
+            assert code is not None
+            assert r.chosen == model.input_grid.unpack(code), k
+        switches = 0
+        for k, (r, nxt) in enumerate(zip(records, records[1:])):
+            expected = r.mode
+            if r.delivered is not None and self.goal_hit(model, c, r.mode,
+                                                         r.delivered):
+                succ = c.modes[r.mode].next_mode
+                a = model.encode_state(*regs[k + 1])
+                if c.pick_input(a, c.modes[succ].relation) is not None:
+                    expected = succ
+            assert nxt.mode == expected, k
+            switches += nxt.mode != r.mode
+        assert switches >= 20
+
+    def test_each_question_asked_once(self, buchi_line, monkeypatch):
+        plant, model, c = buchi_line
+        picks = []
+        restricts = []
+        pick_input, restrict = c.pick_input, c.mgr.restrict
+
+        def counted_pick(assignment, relation=None):
+            picks.append(1)
+            return pick_input(assignment, relation)
+
+        def counted_restrict(f, assignment):
+            restricts.append(1)
+            return restrict(f, assignment)
+
+        monkeypatch.setattr(c, "pick_input", counted_pick)
+        monkeypatch.setattr(c.mgr, "restrict", counted_restrict)
+        loop = ClosedLoop(plant, c, x0=(4.0,))
+        init_picks = len(picks)
+        trace = loop.run(self.STEPS)
+        n_picks, n_restricts = len(picks), len(restricts)
+
+        regs = loop_registers(model, trace, loop.x)
+        keys = set()
+        goals = set()
+        for k, r in enumerate(trace.records):
+            keys.add((r.mode, regs[k]))
+            if r.delivered is None:
+                continue
+            goals.add((r.mode, r.delivered))
+            if self.goal_hit(model, c, r.mode, r.delivered):
+                keys.add((c.modes[r.mode].next_mode, regs[k + 1]))
+        assert n_picks == init_picks + len(keys)
+        assert n_restricts == len(goals)
+        # the loop settles into a cycle, so keys repeat many times over
+        assert len(keys) < self.STEPS // 4
+
+
 class TestOneStepDelayEquivalence:
     def test_matches_shifted_hand_loop(self):
         """With both delays at one sample, the networked loop must follow
