@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -15,12 +16,25 @@ def _require(d, key, kind, where):
     if key not in d:
         raise ConfigError(f"{where}: missing required key {key!r}")
     v = d[key]
-    if kind is float and isinstance(v, int):
-        v = float(v)
+    if kind is float and isinstance(v, (int, float)):
+        v = _finite(v, f"{where}.{key}")
     if not isinstance(v, kind):
         raise ConfigError(f"{where}.{key}: expected {kind.__name__}, "
                           f"got {type(v).__name__}")
     return v
+
+
+def _finite(v, tag):
+    """A JSON number as a float; NaN, Infinity and integers beyond the
+    float range are refused."""
+    try:
+        f = float(v)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise ConfigError(f"{tag}: expected a finite number, got "
+                          f"{json.dumps(v)}")
+    return f
 
 
 def _vector(d, key, where, optional=False):
@@ -32,7 +46,7 @@ def _vector(d, key, where, optional=False):
     if (not isinstance(v, list) or not v
             or not all(isinstance(x, (int, float)) for x in v)):
         raise ConfigError(f"{where}.{key}: expected a nonempty number list")
-    return tuple(float(x) for x in v)
+    return tuple(_finite(x, f"{where}.{key}") for x in v)
 
 
 def _boxes(d, key, where):

@@ -32,7 +32,8 @@ class DelayChannel:
 
     prolonged: every packet is held until its age reaches n_max, so
     delivery time minus send time is exactly n_max, and FIFO order is
-    preserved.  random: each packet draws a delay in [n_min, n_max].
+    preserved; send times must not decrease.  random: each packet draws a
+    delay in [n_min, n_max].
     """
 
     def __init__(self, n_min, n_max, mode="prolonged", rng=None):
@@ -49,16 +50,31 @@ class DelayChannel:
 
     def send(self, payload, t):
         if self.mode == "prolonged":
+            if self.queue and t < self.queue[-1][0]:
+                raise ValueError(f"send at {t} after a send at "
+                                 f"{self.queue[-1][0]}: a prolonged channel "
+                                 f"takes send times in order")
             delay = self.n_max
         else:
             delay = self.rng.randint(self.n_min, self.n_max)
         self.queue.append((t, payload, delay))
 
     def deliver(self, t):
-        """Pop and return payloads whose delay elapses at time t."""
+        """Pop and return payloads whose delay elapses at time t, oldest
+        send first."""
+        queue = self.queue
+        if self.mode == "prolonged":
+            # one delay for all and send times in order: the packets due
+            # are a prefix of the queue
+            out = []
+            while queue and t - queue[0][0] >= queue[0][2]:
+                send_t, payload, _ = queue.popleft()
+                out.append(payload)
+                self.deliveries.append((send_t, t))
+            return out
         out = []
         remaining = deque()
-        for send_t, payload, delay in self.queue:
+        for send_t, payload, delay in queue:
             if t - send_t >= delay:
                 out.append((send_t, payload))
                 self.deliveries.append((send_t, t))
@@ -98,22 +114,25 @@ class Trace:
     def __len__(self):
         return len(self.records)
 
+    def columns(self):
+        """CSV column names, one per grid dimension of `meta`."""
+        n = len(self.meta.get("state_npoints", []))
+        m = len(self.meta.get("input_npoints", []))
+        return (["k"] + [f"x{d}" for d in range(n)]
+                + ["delivered_symbol", "chosen_input_symbol"]
+                + [f"applied_u{d}" for d in range(m)] + ["mode"])
+
+    def values(self):
+        """One value list per record, in the order of `columns`."""
+        meta = self.meta
+        return [[r.k, *r.x, _flat(r.delivered, meta["state_npoints"]),
+                 _flat(r.chosen, meta["input_npoints"]), *r.applied, r.mode]
+                for r in self.records]
+
     def rows(self):
-        """Canonical flat rows (see export_trace for the column schema)."""
-        state_np = self.meta["state_npoints"]
-        input_np = self.meta["input_npoints"]
-        out = []
-        for r in self.records:
-            row = {"k": r.k}
-            for d, v in enumerate(r.x):
-                row[f"x{d}"] = v
-            row["delivered_symbol"] = _flat(r.delivered, state_np)
-            row["chosen_input_symbol"] = _flat(r.chosen, input_np)
-            for d, v in enumerate(r.applied):
-                row[f"applied_u{d}"] = v
-            row["mode"] = r.mode
-            out.append(row)
-        return out
+        """Canonical flat rows: one dict per record, keyed by `columns`."""
+        cols = self.columns()
+        return [dict(zip(cols, v)) for v in self.values()]
 
 
 def _flat(idx, npoints):
@@ -313,41 +332,67 @@ class ClosedLoop:
 
 
 def export_trace(trace, path, fmt=None):
-    """Write a trace as CSV or JSON (schema mirrors Trace.rows)."""
+    """Write a trace as CSV (columns of Trace.columns) or JSON.
+
+    The JSON text is exactly what ``json.dump(payload, fh, indent=1)``
+    writes for the payload ``{"meta": ..., "records": [...]}``.  It is
+    filled into a fixed template per record instead, because with
+    ``indent`` the ``json`` module runs its pure-Python encoder.
+    """
     fmt = fmt or ("json" if str(path).endswith(".json") else "csv")
     if fmt == "csv":
-        rows = trace.rows()
-        fields = list(rows[0].keys()) if rows else _default_fields(trace)
         with open(path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=fields)
-            w.writeheader()
-            for row in rows:
-                w.writerow({k: repr(v) if isinstance(v, float) else v
-                            for k, v in row.items()})
+            w = csv.writer(fh)    # a float's str is its repr
+            w.writerow(trace.columns())
+            w.writerows(trace.values())
     elif fmt == "json":
-        payload = {
-            "meta": trace.meta,
-            "records": [{
-                "k": r.k,
-                "x": list(r.x),
-                "delivered": list(r.delivered) if r.delivered is not None else None,
-                "chosen": list(r.chosen) if r.chosen is not None else None,
-                "applied": list(r.applied),
-                "mode": r.mode,
-            } for r in trace.records],
-        }
+        text = _json_text(trace)
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
+            fh.write(text)
     else:
         raise ValueError(f"unknown trace format {fmt!r}")
 
 
-def _default_fields(trace):
-    n = len(trace.meta.get("state_npoints", []))
-    m = len(trace.meta.get("input_npoints", []))
-    return (["k"] + [f"x{d}" for d in range(n)]
-            + ["delivered_symbol", "chosen_input_symbol"]
-            + [f"applied_u{d}" for d in range(m)] + ["mode"])
+# json's own spellings of the floats that float.__repr__ writes otherwise
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(v):
+    text = float.__repr__(v)
+    return _JSON_NONFINITE.get(text, text)
+
+
+_JSON_SCALAR = {float: _json_float, int: int.__repr__}
+
+
+def _json_scalar(v):
+    return _JSON_SCALAR.get(type(v), json.dumps)(v)
+
+
+def _json_vector(v):
+    """A record's number list (or None) at its depth in the indent=1 text."""
+    if v is None:
+        return "null"
+    if not v:
+        return "[]"
+    return "[\n    " + ",\n    ".join(map(_json_scalar, v)) + "\n   ]"
+
+
+_JSON_RECORD = ('{\n   "k": %s,\n   "x": %s,\n   "delivered": %s,'
+                '\n   "chosen": %s,\n   "applied": %s,\n   "mode": %s\n  }')
+
+
+def _json_text(trace):
+    head = json.dumps({"meta": trace.meta}, indent=1)[:-2]     # drop "\n}"
+    if not trace.records:
+        return head + ',\n "records": []\n}'
+    records = [_JSON_RECORD % (_json_scalar(r.k), _json_vector(r.x),
+                               _json_vector(r.delivered),
+                               _json_vector(r.chosen),
+                               _json_vector(r.applied), _json_scalar(r.mode))
+               for r in trace.records]
+    return (head + ',\n "records": [\n  ' + ",\n  ".join(records)
+            + "\n ]\n}")
 
 
 def load_trace_csv(path):

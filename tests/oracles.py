@@ -10,7 +10,10 @@ inputs.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 from functools import lru_cache
 
 # ----------------------------------------------------------------------
@@ -305,3 +308,68 @@ def random_game(rng, max_states=64, max_inputs=4, density=0.5,
                 succs.add(rng.randrange(n))
             trans[(x, u)] = succs
     return states, inputs, trans
+
+
+# ----------------------------------------------------------------------
+# trace file renderings: the plain library writers that export_trace's
+# template writers must match byte for byte
+
+
+def trace_json_text(trace):
+    """trace.json as ``json.dump(payload, fh, indent=1)`` writes it."""
+    def vec(v):
+        return list(v) if v is not None else None
+
+    payload = {"meta": trace.meta,
+               "records": [{"k": r.k, "x": list(r.x),
+                            "delivered": vec(r.delivered),
+                            "chosen": vec(r.chosen),
+                            "applied": list(r.applied), "mode": r.mode}
+                           for r in trace.records]}
+    buf = io.StringIO()
+    json.dump(payload, buf, indent=1)
+    return buf.getvalue()
+
+
+def trace_rows(trace):
+    """One dict per record, columns named and filled field by field."""
+    def flat(idx, npoints):
+        if idx is None:
+            return -1
+        code, stride = 0, 1
+        for i, n in zip(idx, npoints):
+            code += i * stride
+            stride *= n
+        return code
+
+    rows = []
+    for r in trace.records:
+        row = {"k": r.k}
+        row.update((f"x{d}", v) for d, v in enumerate(r.x))
+        row["delivered_symbol"] = flat(r.delivered, trace.meta["state_npoints"])
+        row["chosen_input_symbol"] = flat(r.chosen, trace.meta["input_npoints"])
+        row.update((f"applied_u{d}", v) for d, v in enumerate(r.applied))
+        row["mode"] = r.mode
+        rows.append(row)
+    return rows
+
+
+def trace_csv_text(trace, rows=None):
+    """trace.csv as ``csv.DictWriter`` writes `rows` (by default
+    `trace_rows`), floats by their repr."""
+    rows = trace_rows(trace) if rows is None else rows
+    if rows:
+        fields = list(rows[0])
+    else:
+        n = len(trace.meta.get("state_npoints", []))
+        m = len(trace.meta.get("input_npoints", []))
+        fields = (["k"] + [f"x{d}" for d in range(n)]
+                  + ["delivered_symbol", "chosen_input_symbol"]
+                  + [f"applied_u{d}" for d in range(m)] + ["mode"])
+    buf = io.StringIO(newline="")
+    w = csv.DictWriter(buf, fieldnames=fields)
+    w.writeheader()
+    for row in rows:
+        w.writerow({k: repr(v) if isinstance(v, float) else v
+                    for k, v in row.items()})
+    return buf.getvalue()

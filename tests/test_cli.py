@@ -10,6 +10,8 @@ import pytest
 
 from ncsynth.cli import main
 from ncsynth.config import ConfigError, RunConfig
+from ncsynth.simulate import load_trace_json
+from oracles import trace_csv_text
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 
@@ -68,6 +70,26 @@ class TestConfigValidation:
                    "--out", str(tmp_path / "o")])
         assert rc == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("sim.x0", [float("nan")]),
+        ("sim.x0", [float("-inf")]),
+        ("plant.grid.ub", [float("inf")]),
+        ("plant.tau", float("nan")),
+        ("sim.x0", [10 ** 400]),
+        ("plant.tau", -10 ** 400),
+    ])
+    def test_non_finite_number_rejected_before_any_stage(self, tmp_path,
+                                                         capsys, key, value):
+        # json writes these as NaN / Infinity or as long digit strings,
+        # which json.load reads back
+        cfgp = toy_config(tmp_path, **{key: value})
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfgp), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {key}: expected" in err and "finite" in err
+        assert not (out / "plant.bdd").exists()
+
 
 class TestToyPipeline:
     def test_full_chain_and_manifests(self, tmp_path, capsys):
@@ -103,6 +125,16 @@ class TestToyPipeline:
         assert records[-1]["x"] == [4.0]
         assert all(r["x"] != [4.0] for r in records[:-1])
         assert len(records) < 40
+
+    def test_trace_files_match_library_writers(self, tmp_path):
+        cfgp = toy_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgp), "--out", str(out)]) == 0
+        text = (out / "trace.json").read_text()
+        assert json.dumps(json.loads(text), indent=1) == text
+        trace = load_trace_json(out / "trace.json")
+        with open(out / "trace.csv", newline="") as fh:
+            assert fh.read() == trace_csv_text(trace, trace.rows())
 
     def test_run_command_equivalent(self, tmp_path):
         cfgp = toy_config(tmp_path)

@@ -1,14 +1,20 @@
+import math
 import random
+import tempfile
+from collections import deque
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import trace_csv_text, trace_json_text
 from ncsynth.abstraction import build_abstraction
 from ncsynth.bdd import Manager
 from ncsynth.grid import UniformGrid
 from ncsynth.ncs import DelayBounds, expand, expand_spec_set
 from ncsynth.plants import EXACT, PlantSpec, robot
 from ncsynth.simulate import (ClosedLoop, DelayChannel, DomainViolation,
-                              Trace, export_trace, load_trace_csv,
+                              StepRecord, Trace, export_trace, load_trace_csv,
                               load_trace_json)
 from ncsynth.synthesis import solve_reach, solve_safety
 
@@ -62,6 +68,62 @@ class TestDelayChannel:
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
             DelayChannel(0, 2)
+
+    def test_prolonged_refuses_send_times_out_of_order(self):
+        ch = DelayChannel(2, 2)
+        ch.send("a", 5)
+        with pytest.raises(ValueError, match="in order"):
+            ch.send("b", 4)
+
+
+def scan_and_sort(queue, deliveries, t):
+    """Reference delivery: scan the whole queue, sort what is due by send
+    time.  Returns the payloads and the remaining queue."""
+    out, remaining = [], deque()
+    for send_t, payload, delay in queue:
+        if t - send_t >= delay:
+            out.append((send_t, payload))
+            deliveries.append((send_t, t))
+        else:
+            remaining.append((send_t, payload, delay))
+    out.sort(key=lambda e: e[0])
+    return [p for _, p in out], remaining
+
+
+@st.composite
+def send_schedules(draw):
+    """Channel bounds and mode, preloaded packets with ascending negative
+    send times (as ClosedLoop loads the actuation channel), then events at
+    nondecreasing times: each sends 0-2 packets and may deliver."""
+    n_min = draw(st.integers(1, 4))
+    n_max = draw(st.integers(n_min, 5))
+    mode = draw(st.sampled_from(["prolonged", "random"]))
+    preload = draw(st.integers(0, n_max))
+    events, t = [], 0
+    for _ in range(draw(st.integers(0, 25))):
+        t += draw(st.integers(0, 3))
+        events.append((t, draw(st.integers(0, 2)), draw(st.booleans())))
+    return n_min, n_max, mode, preload, events
+
+
+class TestDeliverAgainstScan:
+    @settings(max_examples=200, deadline=None)
+    @given(send_schedules(), st.integers(0, 2**16))
+    def test_matches_scan_and_sort(self, schedule, seed):
+        n_min, n_max, mode, preload, events = schedule
+        ch = DelayChannel(n_min, n_max, mode, random.Random(seed))
+        for age in range(preload, 0, -1):
+            ch.queue.append((-age, f"pre{age}", n_max))
+        ref_queue, ref_deliveries = deque(ch.queue), []
+        for i, (t, sends, deliver) in enumerate(events):
+            for j in range(sends):
+                ch.send(f"p{i}.{j}", t)
+                ref_queue.append(ch.queue[-1])
+            if deliver:
+                want, ref_queue = scan_and_sort(ref_queue, ref_deliveries, t)
+                assert ch.deliver(t) == want
+                assert ch.deliveries == ref_deliveries
+                assert list(ch.queue) == list(ref_queue)
 
 
 class TestClosedLoopNetworked:
@@ -397,3 +459,54 @@ class TestTraceExport:
         back = load_trace_json(p)
         assert back.records == trace.records
         assert back.meta == trace.meta
+
+
+EDGE_FLOATS = [-0.0, 0.0, 1e-07, 1e16, 0.1 + 0.2, math.nan, math.inf, -math.inf]
+trace_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+@st.composite
+def traces(draw):
+    """Traces of 1-3 state and input dimensions: edge floats, missing
+    delivered and chosen vectors, a plant name with quotes and non-ASCII
+    text."""
+    state_np = draw(st.lists(st.integers(1, 6), min_size=1, max_size=3))
+    input_np = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+
+    def index(npoints):
+        return st.one_of(st.none(), st.tuples(*[st.integers(0, n - 1)
+                                                for n in npoints]))
+
+    records = []
+    for k in range(draw(st.integers(0, 6))):
+        records.append(StepRecord(
+            k=k,
+            x=tuple(draw(st.lists(trace_floats, min_size=len(state_np),
+                                  max_size=len(state_np)))),
+            delivered=draw(index(state_np)), chosen=draw(index(input_np)),
+            applied=tuple(draw(st.lists(trace_floats, min_size=len(input_np),
+                                        max_size=len(input_np)))),
+            mode=draw(st.integers(0, 3))))
+    name = draw(st.one_of(st.just('robot "ärm" \\ ☃'), st.text(max_size=8)))
+    meta = {"plant": name, "x0": list(records[0].x) if records else [0.5],
+            "seed": draw(st.integers(-3, 2**40)), "channel_mode": "prolonged",
+            "state_npoints": state_np, "input_npoints": input_np}
+    return Trace(records=records, meta=meta)
+
+
+class TestWritersAgainstLibrary:
+    """export_trace writes what json.dump(..., indent=1) and csv.DictWriter
+    write for the same trace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(traces())
+    @example(Trace(records=[], meta={"plant": "empty", "state_npoints": [3],
+                                     "input_npoints": [2, 2]}))
+    def test_bytes_equal_library_rendering(self, trace):
+        with tempfile.TemporaryDirectory() as d:
+            export_trace(trace, Path(d) / "t.json")
+            export_trace(trace, Path(d) / "t.csv")
+            json_bytes = (Path(d) / "t.json").read_bytes()
+            csv_bytes = (Path(d) / "t.csv").read_bytes()
+        assert json_bytes == trace_json_text(trace).encode()
+        assert csv_bytes == trace_csv_text(trace).encode()
