@@ -51,11 +51,9 @@ class TransitionSystem:
         self.input_vars = self.input_set.support
         self.post_vars = self.post_set.support
         self.pre_to_post = {}
-        self.post_to_pre = {}
         for pre_ids, post_ids in zip(self.pre_set.var_ids, self.post_set.var_ids):
             for a, b in zip(pre_ids, post_ids):
                 self.pre_to_post[a] = b
-                self.post_to_pre[b] = a
         self.state_domain = self.pre_set.domain()
         self.input_domain = self.input_set.domain()
         self.state_grid = self.pre_set.grid

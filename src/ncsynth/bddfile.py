@@ -39,30 +39,37 @@ def canonical_meta_bytes(meta):
     return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def node_order(mgr, refs):
+    """The internal nodes under the roots `refs`, children first: roots in
+    order, lo before hi, each shared node once.  Returns (order, ids),
+    where ids maps a node to its id in this format (order[i] gets i + 2)
+    and the FALSE/TRUE terminals to 0/1."""
+    order = []
+    ids = {0: 0, 1: 1}
+    for root in refs:
+        stack = [(root, False)]
+        while stack:
+            ref, done = stack.pop()
+            if ref in ids:
+                continue
+            _, lo, hi = mgr._nodes[ref]
+            if done:
+                ids[ref] = len(order) + 2
+                order.append(ref)
+            else:
+                stack.append((ref, True))
+                stack.append((hi, False))
+                stack.append((lo, False))
+    return order, ids
+
+
 def save(bdd, meta, path):
     """Write one function and its metadata; bit-exact round trip."""
     if not isinstance(bdd, Bdd):
         raise BddFileError("save expects a Bdd")
     mgr = bdd.mgr
     meta_bytes = canonical_meta_bytes(meta if meta is not None else {})
-
-    # children-first order, ids assigned in emission order
-    order = []
-    ids = {0: 0, 1: 1}
-    stack = [(bdd.ref, False)]
-    while stack:
-        ref, done = stack.pop()
-        if ref in ids:
-            continue
-        _, lo, hi = mgr._nodes[ref]
-        if done:
-            ids[ref] = len(order) + 2
-            order.append(ref)
-        else:
-            stack.append((ref, True))
-            stack.append((hi, False))
-            stack.append((lo, False))
-
+    order, ids = node_order(mgr, [bdd.ref])
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<H", VERSION))

@@ -31,7 +31,6 @@ from .bdd import Manager
 from .bddfile import BddFileError
 from .codegen import CodegenError
 from .config import ConfigError, RunConfig
-from .grid import UniformGrid
 from .modelio import (load_controller, load_ncs_model, load_plant_model,
                       save_controller, save_ncs_model, save_plant_model)
 from .ncs import DelayBounds, expand, expand_spec_set, reachable
@@ -81,10 +80,6 @@ def _write_manifest(out_dir, stage, cfg, inputs, outputs, sizes, t0):
     return manifest
 
 
-def _grid(gc):
-    return UniformGrid(lb=gc.lb, ub=gc.ub, eta=gc.eta)
-
-
 def _plant(cfg):
     plant = make_plant(cfg.plant.name, tau=cfg.plant.tau,
                        params=cfg.plant.params)
@@ -98,8 +93,7 @@ def _plant(cfg):
 def cmd_abstract(cfg, out_dir):
     t0 = time.monotonic()
     plant = _plant(cfg)
-    ts = build_abstraction(plant, _grid(cfg.plant.grid),
-                           _grid(cfg.plant.input_grid))
+    ts = build_abstraction(plant, cfg.plant.grid, cfg.plant.input_grid)
     if cfg.spec.obstacles:
         region = ts.pre_set.empty().add_boxes(cfg.spec.obstacles)
         ts = remove_region(ts, region)
@@ -126,8 +120,7 @@ def cmd_expand(cfg, out_dir):
     if not plant_path.exists():
         raise UsageError(f"{plant_path} not found; run the abstract stage first")
     base, _ = load_plant_model(plant_path)
-    d = cfg.delays
-    model = expand(base, DelayBounds(d.nsc_min, d.nsc_max, d.nca_min, d.nca_max))
+    model = expand(base, cfg.delays)
     path = Path(out_dir) / "ncs.bdd"
     save_ncs_model(model, path)
     sizes = {
@@ -284,8 +277,7 @@ def cmd_codegen(cfg, out_dir):
         raise UsageError(f"{ctrl_path} not found; run the synth stage first")
     ctrl, meta = load_controller(ctrl_path)
     delays = meta.get("delays")
-    if delays and (delays["nsc_min"] != delays["nsc_max"]
-                   or delays["nca_min"] != delays["nca_max"]):
+    if delays and not DelayBounds(**delays).prolonged:
         raise UsageError(
             "controller was synthesized for time-varying delays; code is "
             "only emitted for prolonged-delay models (equal lower and upper "

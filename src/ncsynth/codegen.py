@@ -2,15 +2,20 @@
 
 The controller relation is first restricted to one input per state (the
 smallest packed binary input code, a reproducible stand-in for "first
-available"), then split into one boolean function per input bit.  Each
-function is emitted following the decision-diagram structure: one small
-conditional per node, shared subgraphs shared by reference, so the text
-size is linear in the diagram.  Outputs outside the controller domain are
-don't-cares; a domain membership predicate is always emitted alongside.
+available"), then split into one boolean function per input bit.  Both
+back ends share one numbering of the diagram nodes under a mode's bit
+functions and domain, that of the `.bdd` format (`bddfile.node_order`:
+children first, ids 0/1 for FALSE/TRUE, node i has id i + 2).  The C is
+a `static const` table of (state-word bit, lo id, hi id) rows indexed by
+that id, walked by one loop; the Verilog is a netlist with one ternary
+wire per node.  Both are linear in the diagram.  Outputs outside the
+controller domain are don't-cares; a domain membership predicate is
+always emitted alongside.
 """
 
 from __future__ import annotations
 
+from .bddfile import node_order
 from .synthesis import Controller, Mode
 
 
@@ -58,27 +63,6 @@ def decompose_outputs(mgr, rel, pre_vars, input_vars):
     return [mgr.exist_and(rel, mgr.var(w), input_vars) for w in input_vars]
 
 
-def _node_order(mgr, roots):
-    """Children-first ordering of all internal nodes under the roots."""
-    order = []
-    seen = {0, 1}
-    for root in roots:
-        stack = [(root.ref, False)]
-        while stack:
-            ref, done = stack.pop()
-            if ref in seen:
-                continue
-            _, lo, hi = mgr._nodes[ref]
-            if done:
-                seen.add(ref)
-                order.append(ref)
-            else:
-                stack.append((ref, True))
-                stack.append((hi, False))
-                stack.append((lo, False))
-    return order
-
-
 def _state_bit_positions(mgr, roots, pre_vars):
     pos = {v: i for i, v in enumerate(pre_vars)}
     for root in roots:
@@ -89,47 +73,55 @@ def _state_bit_positions(mgr, roots, pre_vars):
     return pos
 
 
+def _node_table(bit_funcs, domain, pre_vars):
+    """The numbering both back ends share: one (state-word bit, lo id, hi
+    id) row per node under the bit functions and the domain, row i having
+    id i + 2, and the ids of those roots, domain last."""
+    mgr = domain.mgr
+    roots = list(bit_funcs) + [domain]
+    pos = _state_bit_positions(mgr, roots, pre_vars)
+    order, ids = node_order(mgr, [r.ref for r in roots])
+    rows = []
+    for ref in order:
+        var, lo, hi = mgr._nodes[ref]
+        rows.append((pos[var], ids[lo], ids[hi]))
+    return rows, [ids[r.ref] for r in roots]
+
+
+_ROWS_PER_LINE = 8
+
+
 def emit_c(name, bit_funcs, domain, pre_vars, meta=None, registers=()):
     """C sources for the bit functions, a collector, and the domain
     predicate.  The state is passed as a packed uint64_t whose bit i is
     state variable pre_vars[i]; the collector returns the packed input
-    code.  `registers`, (name, variable ids LSB first) pairs, become one
-    header comment each giving the register's bits in the packed word.
-    Returns (header text, source text)."""
+    code.  The diagram is one `node` table, rows 0/1 the terminals, that
+    `eval` walks from a root's row.  `registers`, (name, variable ids LSB
+    first) pairs, become one header comment each giving the register's
+    bits in the packed word.  Returns (header text, source text)."""
     if len(pre_vars) > 64:
         raise CodegenError(f"state needs {len(pre_vars)} bits; the fixed "
                            f"width API supports at most 64")
-    mgr = domain.mgr
-    roots = list(bit_funcs) + [domain]
-    pos = _state_bit_positions(mgr, roots, pre_vars)
-    order = _node_order(mgr, roots)
-    nid = {ref: i for i, ref in enumerate(order)}
-
-    def ref_expr(ref):
-        if ref == 0:
-            return "false"
-        if ref == 1:
-            return "true"
-        return f"n{nid[ref]}(s)"
+    rows, root_ids = _node_table(bit_funcs, domain, pre_vars)
+    cells = [f"{{{b},{lo},{hi}}}," for b, lo, hi in [(0, 0, 0), (0, 1, 1)] + rows]
 
     lines = []
     lines.append(f'#include "{name}.h"')
     lines.append("")
-    for ref in order:
-        var, lo, hi = mgr._nodes[ref]
-        lines.append(f"static bool n{nid[ref]}(uint64_t s) {{")
-        lines.append(f"    return (s >> {pos[var]} & 1u) ? "
-                     f"{ref_expr(hi)} : {ref_expr(lo)};")
-        lines.append("}")
+    lines.append("static const struct { uint8_t bit; uint32_t lo, hi; } node[] = {")
+    for i in range(0, len(cells), _ROWS_PER_LINE):
+        lines.append("".join(cells[i:i + _ROWS_PER_LINE]))
+    lines.append("};")
     lines.append("")
-    for j, f in enumerate(bit_funcs):
-        lines.append(f"bool {name}_out_b{j}(uint64_t s) {{")
-        lines.append(f"    return {ref_expr(f.ref)};")
-        lines.append("}")
-    lines.append("")
-    lines.append(f"bool {name}_domain(uint64_t s) {{")
-    lines.append(f"    return {ref_expr(domain.ref)};")
+    lines.append("static bool eval(uint32_t r, uint64_t s) {")
+    lines.append("    while (r > 1)")
+    lines.append("        r = (s >> node[r].bit & 1u) ? node[r].hi : node[r].lo;")
+    lines.append("    return r;")
     lines.append("}")
+    lines.append("")
+    for j, r in enumerate(root_ids[:-1]):
+        lines.append(f"bool {name}_out_b{j}(uint64_t s) {{ return eval({r}, s); }}")
+    lines.append(f"bool {name}_domain(uint64_t s) {{ return eval({root_ids[-1]}, s); }}")
     lines.append("")
     lines.append(f"uint64_t {name}_control(uint64_t s) {{")
     lines.append("    uint64_t u = 0;")
@@ -164,20 +156,16 @@ def emit_c(name, bit_funcs, domain, pre_vars, meta=None, registers=()):
 
 def emit_verilog(name, bit_funcs, domain, pre_vars, meta=None, registers=()):
     """Combinational module: packed state in, packed input plus a domain
-    valid flag out; one ternary assign per diagram node.  The header
-    comments are those of `emit_c`."""
-    mgr = domain.mgr
-    roots = list(bit_funcs) + [domain]
-    pos = _state_bit_positions(mgr, roots, pre_vars)
-    order = _node_order(mgr, roots)
-    nid = {ref: i for i, ref in enumerate(order)}
+    valid flag out; one ternary assign per diagram node, wire n<i> for the
+    node of id i + 2.  The header comments are those of `emit_c`."""
+    rows, root_ids = _node_table(bit_funcs, domain, pre_vars)
 
-    def ref_expr(ref):
-        if ref == 0:
+    def ref_expr(i):
+        if i == 0:
             return "1'b0"
-        if ref == 1:
+        if i == 1:
             return "1'b1"
-        return f"n{nid[ref]}"
+        return f"n{i - 2}"
 
     sb = max(len(pre_vars), 1)
     ib = max(len(bit_funcs), 1)
@@ -191,16 +179,15 @@ def emit_verilog(name, bit_funcs, domain, pre_vars, meta=None, registers=()):
     lines.append(f"    output wire [{ib - 1}:0] u,")
     lines.append("    output wire valid")
     lines.append(");")
-    for ref in order:
-        var, lo, hi = mgr._nodes[ref]
-        lines.append(f"  wire n{nid[ref]};")
-        lines.append(f"  assign n{nid[ref]} = state[{pos[var]}] ? "
+    for i, (bit, lo, hi) in enumerate(rows):
+        lines.append(f"  wire n{i};")
+        lines.append(f"  assign n{i} = state[{bit}] ? "
                      f"{ref_expr(hi)} : {ref_expr(lo)};")
-    for j, f in enumerate(bit_funcs):
-        lines.append(f"  assign u[{j}] = {ref_expr(f.ref)};")
+    for j, r in enumerate(root_ids[:-1]):
+        lines.append(f"  assign u[{j}] = {ref_expr(r)};")
     if not bit_funcs:
         lines.append("  assign u[0] = 1'b0;")
-    lines.append(f"  assign valid = {ref_expr(domain.ref)};")
+    lines.append(f"  assign valid = {ref_expr(root_ids[-1])};")
     lines.append("endmodule")
     return "\n".join(lines) + "\n"
 

@@ -7,6 +7,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .grid import UniformGrid
+from .ncs import DelayBounds
+
 
 class ConfigError(Exception):
     """Malformed or inconsistent run configuration."""
@@ -63,30 +66,24 @@ def _boxes(d, key, where):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    lb: tuple
-    ub: tuple
-    eta: tuple
-
-    @classmethod
-    def from_dict(cls, d, where):
-        if not isinstance(d, dict):
-            raise ConfigError(f"{where}: expected an object")
-        lb = _vector(d, "lb", where)
-        ub = _vector(d, "ub", where)
-        eta = _vector(d, "eta", where)
-        if not (len(lb) == len(ub) == len(eta)):
-            raise ConfigError(f"{where}: lb/ub/eta lengths differ")
-        return cls(lb=lb, ub=ub, eta=eta)
+def _grid(d, where):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object")
+    lb = _vector(d, "lb", where)
+    ub = _vector(d, "ub", where)
+    eta = _vector(d, "eta", where)
+    try:
+        return UniformGrid(lb=lb, ub=ub, eta=eta)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
 class PlantConfig:
     name: str
     tau: float
-    grid: GridConfig
-    input_grid: GridConfig
+    grid: UniformGrid
+    input_grid: UniformGrid
     params: dict = field(default_factory=dict)
 
     @classmethod
@@ -95,35 +92,21 @@ class PlantConfig:
             raise ConfigError("plant: expected an object")
         return cls(name=_require(d, "name", str, "plant"),
                    tau=_require(d, "tau", float, "plant"),
-                   grid=GridConfig.from_dict(d.get("grid"), "plant.grid"),
-                   input_grid=GridConfig.from_dict(d.get("input_grid"),
-                                                   "plant.input_grid"),
+                   grid=_grid(d.get("grid"), "plant.grid"),
+                   input_grid=_grid(d.get("input_grid"), "plant.input_grid"),
                    params=d.get("params") or {})
 
 
-@dataclass(frozen=True)
-class DelayConfig:
-    nsc_min: int
-    nsc_max: int
-    nca_min: int
-    nca_max: int
-
-    @classmethod
-    def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ConfigError("delays: expected an object")
-        vals = {}
-        for key in ("nsc_min", "nsc_max", "nca_min", "nca_max"):
-            vals[key] = _require(d, key, int, "delays")
-        if not (1 <= vals["nsc_min"] <= vals["nsc_max"]):
-            raise ConfigError("delays: need 1 <= nsc_min <= nsc_max")
-        if not (1 <= vals["nca_min"] <= vals["nca_max"]):
-            raise ConfigError("delays: need 1 <= nca_min <= nca_max")
-        return cls(**vals)
-
-    @property
-    def prolonged(self):
-        return self.nsc_min == self.nsc_max and self.nca_min == self.nca_max
+def _delays(d):
+    if not isinstance(d, dict):
+        raise ConfigError("delays: expected an object")
+    vals = {key: _require(d, key, int, "delays")
+            for key in ("nsc_min", "nsc_max", "nca_min", "nca_max")}
+    if not (1 <= vals["nsc_min"] <= vals["nsc_max"]):
+        raise ConfigError("delays: need 1 <= nsc_min <= nsc_max")
+    if not (1 <= vals["nca_min"] <= vals["nca_max"]):
+        raise ConfigError("delays: need 1 <= nca_min <= nca_max")
+    return DelayBounds(**vals)
 
 
 _SPEC_KINDS = ("safety", "reach", "persistence", "recurrence", "gen_buchi")
@@ -198,7 +181,7 @@ class CodegenConfig:
 @dataclass(frozen=True)
 class RunConfig:
     plant: PlantConfig
-    delays: DelayConfig
+    delays: DelayBounds
     spec: SpecConfig
     sim: SimConfig
     codegen: CodegenConfig
@@ -220,7 +203,7 @@ class RunConfig:
         if "spec" not in d:
             raise ConfigError("missing required section 'spec'")
         return cls(plant=PlantConfig.from_dict(d["plant"]),
-                   delays=DelayConfig.from_dict(d["delays"]),
+                   delays=_delays(d["delays"]),
                    spec=SpecConfig.from_dict(d["spec"]),
                    sim=SimConfig.from_dict(d.get("sim")),
                    codegen=CodegenConfig.from_dict(d.get("codegen")),

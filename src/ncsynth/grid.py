@@ -258,13 +258,9 @@ class SymbolicSet:
         """Cube BDD selecting exactly one cell."""
         return self.mgr.cube(self.assignment(idx))
 
-    def decode(self, assignment):
-        """Cell center for a satisfying assignment ({var: bit} or a bit
-        tuple aligned with self.support)."""
-        idx = self.decode_index(assignment)
-        return self.grid.center(idx)
-
     def decode_index(self, assignment):
+        """Index vector of a satisfying assignment ({var: bit} or a bit
+        tuple aligned with self.support)."""
         if not isinstance(assignment, dict):
             sup = self.support
             if len(assignment) != len(sup):

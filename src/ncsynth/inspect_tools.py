@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .bddfile import load
 from .grid import write_code
+from .ncs import post_image
 
 
 def _columns(model):
@@ -162,12 +163,9 @@ def explore_model(model, state, input_sequence):
     steps = [tuple(input_sequence[i:i + input_dim])
              for i in range(0, len(input_sequence), input_dim)]
 
-    quant = tuple(sorted(model.pre_vars + model.input_vars))
-    back = {b: a for a, b in model.pre_to_post.items()}
     out = []
     for u in steps:
-        ucube = model.input_set.cell_cube(u)
-        img = mgr.exist_and(model.trans & ucube, cur, quant).rename(back)
+        img = post_image(model, cur & model.input_set.cell_cube(u))
         out.append({model.decode_row(dict(zip(model.pre_vars, bits)), "pre")
                     for bits in mgr.cubes(img, model.pre_vars)})
         cur = img

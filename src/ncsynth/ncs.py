@@ -473,15 +473,8 @@ def _assemble(mgr, lay, bounds, base, input_selector):
     rel = rel & _delay_valid(mgr, lay.dca_post[0], bounds.ca_range)
 
     # membership of the source tuple and of the controller output
-    for i in range(1, s):
-        rel = rel & (_reg_is_state(mgr, lay, i) | _reg_is_marker(mgr, lay, i))
-    for i in range(c):
-        rel = rel & _input_valid(mgr, lay, lay.input_field_ids(i))
-    for i in range(s):
-        rel = rel & _delay_valid(mgr, lay.dsc_pre[i], bounds.sc_range)
-    for i in range(c):
-        rel = rel & _delay_valid(mgr, lay.dca_pre[i], bounds.ca_range)
-    rel = rel & _input_valid(mgr, lay, lay.label_field_ids())
+    rel = (rel & _state_domain(mgr, lay)
+           & _input_valid(mgr, lay, lay.label_field_ids()))
 
     init = mgr.import_function(
         base.initial,
@@ -528,15 +521,19 @@ def expand_spec_set(sset, model, anchor="newest"):
     return lifted & _reg_is_state(model.mgr, lay, reg, "pre") & model.state_domain
 
 
-def reachable(model):
-    """Least fixed point of the forward image from the initial states."""
-    mgr = model.mgr
+def post_image(model, states):
+    """Successors of a set of state-input pairs (or of states, every input
+    allowed), over the pre-state variables."""
     quant = tuple(sorted(model.pre_vars + model.input_vars))
     back = {b: a for a, b in model.pre_to_post.items()}
+    return model.mgr.exist_and(model.trans, states, quant).rename(back)
+
+
+def reachable(model):
+    """Least fixed point of the forward image from the initial states."""
     r = model.initial
     while True:
-        img = mgr.exist_and(model.trans, r, quant).rename(back)
-        nxt = r | img
+        nxt = r | post_image(model, r)
         if nxt == r:
             return r
         r = nxt

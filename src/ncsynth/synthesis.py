@@ -26,12 +26,6 @@ class Mode:
     relation: Bdd
     goal: Bdd          # predicate on the measured cell (anchor register)
     next_mode: int
-    _domain: Bdd = field(default=None, repr=False, compare=False)
-
-    def domain(self, input_vars):
-        if self._domain is None:
-            self._domain = self.relation.exists(input_vars)
-        return self._domain
 
 
 @dataclass
@@ -57,10 +51,6 @@ class Controller:
     @property
     def is_empty(self):
         return self.domain.is_false
-
-    @property
-    def is_dynamic(self):
-        return bool(self.modes)
 
     def mode_relations(self):
         if self.modes:

@@ -90,6 +90,20 @@ class TestConfigValidation:
         assert f"error: {key}: expected" in err and "finite" in err
         assert not (out / "plant.bdd").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("plant.grid.eta", [0.0]),
+        ("plant.input_grid.lb", [5.0]),
+    ])
+    def test_bad_grid_rejected_before_any_stage(self, tmp_path, capsys,
+                                                key, value):
+        cfgp = toy_config(tmp_path, **{key: value})
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfgp), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"error: {key.rsplit('.', 1)[0]}: " in err
+        assert not (out / "plant.bdd").exists()
+
 
 class TestToyPipeline:
     def test_full_chain_and_manifests(self, tmp_path, capsys):

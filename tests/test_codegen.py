@@ -8,6 +8,7 @@ import subprocess
 import pytest
 
 from ncsynth.bdd import Manager
+from ncsynth.bddfile import node_order
 from ncsynth.codegen import (CodegenError, decompose_outputs, determinize,
                              emit_c, emit_verilog, generate,
                              is_deterministic_relation)
@@ -124,13 +125,15 @@ class TestDecompose:
 
 
 def compile_and_load(tmp_path, name, header, source):
+    """Compile the emitted C as strict, warning-free C99 and load it."""
     cc = shutil.which("cc") or shutil.which("gcc")
     if cc is None:
         pytest.skip("no C compiler available")
     (tmp_path / f"{name}.h").write_text(header)
     (tmp_path / f"{name}.c").write_text(source)
     so = tmp_path / f"{name}.so"
-    subprocess.run([cc, "-O1", "-shared", "-fPIC", "-o", str(so),
+    subprocess.run([cc, "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror",
+                    "-O1", "-shared", "-fPIC", "-o", str(so),
                     str(tmp_path / f"{name}.c")], check=True,
                    capture_output=True)
     lib = ctypes.CDLL(str(so))
@@ -173,6 +176,20 @@ class TestEmitC:
                     assert ctrl(s) == table[s][0]
                 else:
                     assert not dom(s)
+
+    def test_node_table_size_per_node(self):
+        # every state admits a random subset of the inputs, so the chosen
+        # inputs and the domain follow no pattern the diagram could share
+        rng = random.Random(7)
+        trans = {(x, u): {x} for x in range(512) for u in range(8)
+                 if rng.random() < 0.3}
+        ts = build_explicit_ts(Manager(), 512, 8, trans)
+        c = determinize(solve_safety(ts, ts.state_domain))
+        bits = decompose_outputs(c.mgr, c.relation, c.pre_vars, c.input_vars)
+        order, _ = node_order(c.mgr, [f.ref for f in bits + [c.domain]])
+        assert len(order) >= 200
+        _, source = emit_c("big", bits, c.domain, c.pre_vars)
+        assert len(source) <= 24 * len(order)
 
     def test_emission_deterministic(self):
         c = determinize(random_controller(2))
@@ -250,21 +267,40 @@ class TestEmitVerilog:
         # exercised only where a simulator exists
 
 
+def walker_controller():
+    """Two-mode controller of a walker on 8 cells visiting cells 1 and 6."""
+    mgr = Manager()
+    trans = {}
+    for x in range(8):
+        trans[(x, 0)] = {max(x - 1, 0)}
+        trans[(x, 1)] = {min(x + 1, 7)}
+        trans[(x, 2)] = {x}
+    ts = build_explicit_ts(mgr, 8, 3, trans)
+    return solve_gen_buchi(ts, [state_set_to_bdd(ts, [1]),
+                                state_set_to_bdd(ts, [6])])
+
+
 class TestGenerate:
     def test_per_mode_artifacts(self):
-        mgr = Manager()
-        trans = {}
-        for x in range(8):
-            trans[(x, 0)] = {max(x - 1, 0)}
-            trans[(x, 1)] = {min(x + 1, 7)}
-            trans[(x, 2)] = {x}
-        ts = build_explicit_ts(mgr, 8, 3, trans)
-        c = solve_gen_buchi(ts, [state_set_to_bdd(ts, [1]),
-                                 state_set_to_bdd(ts, [6])])
+        c = walker_controller()
         arts = generate(c, "walker")
         assert [a["name"] for a in arts] == ["walker_m0", "walker_m1"]
         for a in arts:
             assert "walker" in a["header"] and "module" in a["verilog"]
+
+    def test_c_agrees_with_netlist_on_every_state_word(self, tmp_path):
+        c = walker_controller()
+        arts = generate(c, "walker")
+        assert len(arts) == 2
+        for a in arts:
+            ctrl, dom = compile_and_load(tmp_path, a["name"], a["header"],
+                                         a["source"])
+            for s in range(1 << len(c.pre_vars)):
+                u, valid = eval_emitted_verilog(a["verilog"],
+                                                len(c.pre_vars), s)
+                assert dom(s) == bool(valid)
+                if valid:
+                    assert ctrl(s) == u
 
     def test_state_width_limit(self):
         mgr = Manager()
