@@ -159,7 +159,7 @@ def _post_cell_ranges(grid, center, radius):
     return ranges
 
 
-def build_abstraction(spec, state_grid, input_grid, mgr=None):
+def build_abstraction(spec, state_grid, input_grid):
     """Construct the plant's symbolic model over fresh variables."""
     if spec.dim != state_grid.dim:
         raise ValueError(f"plant dimension {spec.dim} != state grid dimension "
@@ -167,8 +167,7 @@ def build_abstraction(spec, state_grid, input_grid, mgr=None):
     if spec.input_dim != input_grid.dim:
         raise ValueError(f"plant input dimension {spec.input_dim} != input "
                          f"grid dimension {input_grid.dim}")
-    if mgr is None:
-        mgr = Manager()
+    mgr = Manager()
     ids = allocate_layout(mgr, state_grid, input_grid)
     ts = plant_system(mgr, state_grid, input_grid, ids, mgr.false, spec.tau,
                       spec.name)

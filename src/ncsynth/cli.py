@@ -31,8 +31,9 @@ from .bdd import Manager
 from .bddfile import BddFileError
 from .codegen import CodegenError
 from .config import ConfigError, RunConfig
-from .modelio import (load_controller, load_ncs_model, load_plant_model,
-                      save_controller, save_ncs_model, save_plant_model)
+from .modelio import (layout_meta, load_controller, load_ncs_model,
+                      load_plant_model, save_controller, save_ncs_model,
+                      save_plant_model)
 from .ncs import DelayBounds, expand, expand_spec_set, reachable
 from .plants import make_plant
 from .simulate import ClosedLoop, DomainViolation, export_trace
@@ -165,7 +166,7 @@ def cmd_synth(cfg, out_dir):
     for p in (ncs_path, plant_path):
         if not p.exists():
             raise UsageError(f"{p} not found; run earlier stages first")
-    model, model_meta = load_ncs_model(ncs_path)
+    model, _ = load_ncs_model(ncs_path)
     base, _ = load_plant_model(plant_path)
     # spec boxes live on the plant grid; rebuild them against the plant
     # file's variable numbering, then lift into the expanded space
@@ -208,11 +209,7 @@ def cmd_synth(cfg, out_dir):
         "model_kind": "ncs",
         "spec_kind": kind,
         "name": cfg.codegen.name,
-        "tau": model.tau,
-        "state_grid": model_meta["state_grid"],
-        "input_grid": model_meta["input_grid"],
-        "delays": model_meta["delays"],
-        "var_base": model_meta.get("var_base", 0),
+        **layout_meta(model),
     }
     save_controller(ctrl, path, extra)
     outputs = [path]

@@ -135,6 +135,9 @@ class SpecConfig:
         if kind in ("safety", "persistence") and not (spec.safe or spec.obstacles):
             raise ConfigError(f"spec: kind {kind!r} requires safe boxes or "
                               f"obstacles")
+        if kind == "recurrence" and spec.safe:
+            raise ConfigError("spec.safe: kind 'recurrence' reads no safe boxes;"
+                              " use obstacles, or gen_buchi with one target")
         return spec
 
 

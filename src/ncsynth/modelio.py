@@ -96,21 +96,17 @@ def _grown_manager(mgr, total):
     return mgr
 
 
-def _ncs_meta(model):
+def layout_meta(model):
+    """The layout keys that `_layout_from_meta` and `make_shell_ncs_model`
+    read, for expanded-model and controller files alike."""
     b = model.bounds
     return {
-        "kind": "ncs_model",
-        "name": model.base_name,
         "tau": model.tau,
         "state_grid": _grid_meta(model.state_grid),
         "input_grid": _grid_meta(model.input_grid),
         "delays": {"nsc_min": b.nsc_min, "nsc_max": b.nsc_max,
                    "nca_min": b.nca_min, "nca_max": b.nca_max},
-        "var_base": model.layout.base,
-        "layout_version": LAYOUT_VERSION,
-        "base_deterministic": model.base_deterministic,
-        "marker_code": model.layout.marker_code,
-        "var_roles": _var_roles_ncs(model.layout),
+        "var_base": 0,  # variables start at id 0; kept for the file bytes
     }
 
 
@@ -120,7 +116,11 @@ def _init_path(path):
 
 
 def save_ncs_model(model, path):
-    meta = _ncs_meta(model)
+    meta = {"kind": "ncs_model", "name": model.base_name,
+            **layout_meta(model), "layout_version": LAYOUT_VERSION,
+            "base_deterministic": model.base_deterministic,
+            "marker_code": model.layout.marker_code,
+            "var_roles": _var_roles_ncs(model.layout)}
     save(model.trans, meta, path)
     save(model.initial, meta, _init_path(path))
     return meta
@@ -130,7 +130,7 @@ def _layout_from_meta(meta):
     bounds = DelayBounds(**meta["delays"])
     state_grid = _grid_from_meta(meta["state_grid"])
     input_grid = _grid_from_meta(meta["input_grid"])
-    lay = NcsLayout(bounds, state_grid, input_grid, base=meta.get("var_base", 0))
+    lay = NcsLayout(bounds, state_grid, input_grid)
     return bounds, lay
 
 
@@ -164,7 +164,7 @@ def make_shell_ncs_model(meta, mgr=None):
     """Model carcass from controller metadata: layout, grids, and bounds
     for simulation and decoding; the transition relation is not loaded."""
     bounds, lay = _layout_from_meta(meta)
-    mgr = _grown_manager(mgr, meta.get("var_base", 0) + lay.var_count)
+    mgr = _grown_manager(mgr, lay.var_count)
     return NcsModel(mgr=mgr, layout=lay, bounds=bounds, trans=mgr.false,
                     initial=mgr.false, base_name=meta.get("name", "plant"),
                     tau=meta.get("tau", 0.0))

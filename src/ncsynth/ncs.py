@@ -17,6 +17,7 @@ test oracle.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -106,14 +107,13 @@ class NcsLayout:
     so the relation grows linearly with the delays.
     """
 
-    def __init__(self, bounds, state_grid, input_grid, base=0):
+    def __init__(self, bounds, state_grid, input_grid):
         s = bounds.nsc_max
         c = bounds.nca_max
         ib = input_grid.total_bits
         sbq, marker, _ = state_code_layout(state_grid)
         self.s = s
         self.c = c
-        self.base = base
         self.input_bits = ib
         self.state_bits = sbq
         self.marker_code = marker
@@ -130,7 +130,7 @@ class NcsLayout:
         width = {"label": ib, "u": ib, "x": sbq,
                  "dsc": self.sc_bits, "dca": self.ca_bits}
         blocks = {}
-        v = base
+        v = 0
         for group in groups:
             for key in group:
                 blocks[key] = []
@@ -138,7 +138,7 @@ class NcsLayout:
                 for key in group:
                     blocks[key].append(v)
                     v += 1
-        self.var_count = v - base
+        self.var_count = v
 
         def regs(name, which, n):
             return tuple(tuple(blocks[name, which, i]) for i in range(n))
@@ -166,16 +166,6 @@ class NcsLayout:
                 for name, regs in zip(("x", "u", "dsc", "dca"),
                                       self.registers(which))
                 for r, block in enumerate(regs)]
-
-    def state_field_ids(self, reg, which="pre"):
-        """Per-dimension variable ids of one state register (LSB first)."""
-        return self.state_grid.fields(self.registers(which)[0][reg])
-
-    def input_field_ids(self, reg, which="pre"):
-        return self.input_grid.fields(self.registers(which)[1][reg])
-
-    def label_field_ids(self):
-        return self.input_grid.fields(self.label)
 
     def _vars(self, which):
         return tuple(sorted(v for regs in self.registers(which)
@@ -226,10 +216,8 @@ class NcsModel:
         self.pre_to_post = lay.pre_to_post
         self.state_grid = lay.state_grid
         self.input_grid = lay.input_grid
-        self.anchor_set = SymbolicSet(self.mgr, lay.state_grid,
-                                      lay.state_field_ids(0))
-        self.input_set = SymbolicSet(self.mgr, lay.input_grid,
-                                     lay.label_field_ids()).full()
+        self.anchor_set = _block_set(self.mgr, lay.state_grid, lay.x_pre[0])
+        self.input_set = _block_set(self.mgr, lay.input_grid, lay.label).full()
         self.state_domain = _state_domain(self.mgr, lay)
         self.input_domain = self.input_set.chi
         self.state_registers = tuple((name, block) for name, block
@@ -340,45 +328,46 @@ class NcsModel:
         return tuple(row) + dsc + dca
 
 
-def _reg_is_state(mgr, lay, reg, which="pre"):
-    """Register holds a real (in-range, non-marker) state symbol."""
-    r = SymbolicSet(mgr, lay.state_grid,
-                    lay.state_field_ids(reg, which)).domain()
+def _block_set(mgr, grid, block):
+    """The cell set of `grid` on a register block; a state block's marker
+    flag bit, when it has one, lies past the grid's bits."""
+    return SymbolicSet(mgr, grid, grid.fields(block))
+
+
+def _reg_is_state(mgr, lay, block):
+    """The state block holds a real (in-range, non-marker) state symbol."""
+    r = _block_set(mgr, lay.state_grid, block).domain()
     if lay.state_bits > lay.state_grid.total_bits:
-        flag = lay.registers(which)[0][reg][-1]
-        r = r & ~mgr.var(flag)
+        r = r & ~mgr.var(block[-1])
     return r
 
 
-def _reg_is_marker(mgr, lay, reg, which="pre"):
-    block = lay.registers(which)[0][reg]
+def _reg_is_marker(mgr, lay, block):
     return mgr.cube(write_code({}, block, lay.marker_code))
 
 
-def _input_valid(mgr, lay, fields):
-    return SymbolicSet(mgr, lay.input_grid, fields).domain()
+def _input_valid(mgr, lay, block):
+    return _block_set(mgr, lay.input_grid, block).domain()
 
 
 def _delay_valid(mgr, block, rng):
-    if not block:
-        return mgr.true
     return dim_interval(mgr, block, 0, rng - 1)
 
 
 def _state_domain(mgr, lay):
     d = mgr.true
-    for i in range(lay.s):
-        d = d & (_reg_is_state(mgr, lay, i) | _reg_is_marker(mgr, lay, i))
-    for i in range(lay.c):
-        d = d & _input_valid(mgr, lay, lay.input_field_ids(i))
-    for i in range(lay.s):
-        d = d & _delay_valid(mgr, lay.dsc_pre[i], lay.sc_range)
-    for i in range(lay.c):
-        d = d & _delay_valid(mgr, lay.dca_pre[i], lay.ca_range)
+    for block in lay.x_pre:
+        d = d & (_reg_is_state(mgr, lay, block) | _reg_is_marker(mgr, lay, block))
+    for block in lay.u_pre:
+        d = d & _input_valid(mgr, lay, block)
+    for block in lay.dsc_pre:
+        d = d & _delay_valid(mgr, block, lay.sc_range)
+    for block in lay.dca_pre:
+        d = d & _delay_valid(mgr, block, lay.ca_range)
     return d
 
 
-def expand(base, bounds, mgr=None, input_selector=None):
+def expand(base, bounds, input_selector=None):
     """Lift a plant model over delayed channels (pure BDD pipeline).
 
     input_selector, when given, maps (sc delay vector, ca delay vector) to
@@ -386,8 +375,6 @@ def expand(base, bounds, mgr=None, input_selector=None):
     the oldest register).  The default, matching constant prolonged
     actuation delays, always applies the oldest buffered input.
     """
-    if not isinstance(bounds, DelayBounds):
-        bounds = DelayBounds(*bounds)
     base_det = base.is_deterministic()
     if bounds.prolonged and not base_det:
         warnings.warn(
@@ -395,12 +382,8 @@ def expand(base, bounds, mgr=None, input_selector=None):
             "well defined, but controller refinement over prolonged delays "
             "requires a deterministic plant model", stacklevel=2)
 
-    state_grid = base.pre_set.grid
-    input_grid = base.input_set.grid
-    if mgr is None:
-        mgr = Manager()
-    lay = NcsLayout(bounds, state_grid, input_grid, base=mgr.var_count)
-    mgr.add_vars(lay.var_count)
+    lay = NcsLayout(bounds, base.pre_set.grid, base.input_set.grid)
+    mgr = Manager(var_count=lay.var_count)
     model = _assemble(mgr, lay, bounds, base, input_selector)
     model.base_name = base.name
     model.tau = base.tau
@@ -409,19 +392,11 @@ def expand(base, bounds, mgr=None, input_selector=None):
 
 
 def _base_import_map(base, lay, applied_reg):
-    m = {}
-    for d in range(base.input_set.grid.dim):
-        src = base.input_set.var_ids[d]
-        dst = lay.input_field_ids(applied_reg, "pre")[d]
-        m.update(zip(src, dst))
-    for d in range(base.pre_set.grid.dim):
-        src_pre = base.pre_set.var_ids[d]
-        src_post = base.post_set.var_ids[d]
-        dst_pre = lay.state_field_ids(0, "pre")[d]
-        dst_post = lay.state_field_ids(0, "post")[d]
-        m.update(zip(src_pre, dst_pre))
-        m.update(zip(src_post, dst_post))
-    return m
+    """Plant variables onto the applied input and the newest state
+    registers; zip leaves out a state block's marker flag bit."""
+    pairs = ((base.input_set, lay.u_pre[applied_reg]),
+             (base.pre_set, lay.x_pre[0]), (base.post_set, lay.x_post[0]))
+    return {v: t for sset, block in pairs for v, t in zip(sset.block, block)}
 
 
 def _assemble(mgr, lay, bounds, base, input_selector):
@@ -429,7 +404,8 @@ def _assemble(mgr, lay, bounds, base, input_selector):
 
     def base_step(applied_reg):
         step = mgr.import_function(base.trans, _base_import_map(base, lay, applied_reg))
-        return step & _reg_is_state(mgr, lay, 0, "pre") & _reg_is_state(mgr, lay, 0, "post")
+        return (step & _reg_is_state(mgr, lay, lay.x_pre[0])
+                & _reg_is_state(mgr, lay, lay.x_post[0]))
 
     if input_selector is None or (bounds.sc_range == 1 and bounds.ca_range == 1):
         if input_selector is not None:
@@ -440,8 +416,10 @@ def _assemble(mgr, lay, bounds, base, input_selector):
         core = base_step(c - 1)
     else:
         groups = {}
-        for combo_sc in _delay_combos(bounds.nsc_min, bounds.nsc_max, s):
-            for combo_ca in _delay_combos(bounds.nca_min, bounds.nca_max, c):
+        for combo_sc in itertools.product(
+                range(bounds.nsc_min, bounds.nsc_max + 1), repeat=s):
+            for combo_ca in itertools.product(
+                    range(bounds.nca_min, bounds.nca_max + 1), repeat=c):
                 j = input_selector(combo_sc, combo_ca)
                 if not (0 <= j < c):
                     raise ValueError(f"input selector returned shift {j}, "
@@ -459,31 +437,23 @@ def _assemble(mgr, lay, bounds, base, input_selector):
                 sel = sel | mgr.cube(cube)
             core = core | (sel & base_step(c - 1 - j))
 
-    rel = core
-    for i in range(1, s):
-        rel = rel & mgr.equal_blocks(lay.x_post[i], lay.x_pre[i - 1])
-    rel = rel & mgr.equal_blocks(lay.u_post[0], lay.label)
-    for i in range(1, c):
-        rel = rel & mgr.equal_blocks(lay.u_post[i], lay.u_pre[i - 1])
-    for i in range(1, s):
-        rel = rel & mgr.equal_blocks(lay.dsc_post[i], lay.dsc_pre[i - 1])
-    for i in range(1, c):
-        rel = rel & mgr.equal_blocks(lay.dca_post[i], lay.dca_pre[i - 1])
+    # every register shifts by one: post[i] holds what pre[i - 1] held
+    rel = core & mgr.equal_blocks(lay.u_post[0], lay.label)
+    for pre, post in zip(lay.registers("pre"), lay.registers("post")):
+        for dst, src in zip(post[1:], pre):
+            rel = rel & mgr.equal_blocks(dst, src)
     rel = rel & _delay_valid(mgr, lay.dsc_post[0], bounds.sc_range)
     rel = rel & _delay_valid(mgr, lay.dca_post[0], bounds.ca_range)
 
     # membership of the source tuple and of the controller output
-    rel = (rel & _state_domain(mgr, lay)
-           & _input_valid(mgr, lay, lay.label_field_ids()))
+    rel = rel & _state_domain(mgr, lay) & _input_valid(mgr, lay, lay.label)
 
-    init = mgr.import_function(
-        base.initial,
-        {v: t for d in range(base.pre_set.grid.dim)
-         for v, t in zip(base.pre_set.var_ids[d], lay.state_field_ids(0, "pre")[d])})
-    init = init & _reg_is_state(mgr, lay, 0, "pre")
-    for i in range(1, s):
-        init = init & _reg_is_marker(mgr, lay, i)
-    init = init & _input_valid(mgr, lay, lay.input_field_ids(0))
+    init = mgr.import_function(base.initial,
+                               dict(zip(base.pre_set.block, lay.x_pre[0])))
+    init = init & _reg_is_state(mgr, lay, lay.x_pre[0])
+    for block in lay.x_pre[1:]:
+        init = init & _reg_is_marker(mgr, lay, block)
+    init = init & _input_valid(mgr, lay, lay.u_pre[0])
     for i in range(1, c):
         init = init & mgr.equal_blocks(lay.u_pre[i], lay.u_pre[i - 1])
     for reg in lay.dsc_pre:
@@ -495,15 +465,6 @@ def _assemble(mgr, lay, bounds, base, input_selector):
                     base_name=base.name, tau=base.tau)
 
 
-def _delay_combos(lo, hi, count):
-    if count == 0:
-        yield ()
-        return
-    for head in range(lo, hi + 1):
-        for rest in _delay_combos(lo, hi, count - 1):
-            yield (head,) + rest
-
-
 def expand_spec_set(sset, model, anchor="newest"):
     """Lift a predicate on the plant grid to the expanded state set by
     constraining one state register; all other registers range freely over
@@ -512,13 +473,9 @@ def expand_spec_set(sset, model, anchor="newest"):
     if anchor not in ("newest", "oldest"):
         raise ValueError("anchor must be 'newest' or 'oldest'")
     lay = model.layout
-    reg = 0 if anchor == "newest" else lay.s - 1
-    fields = lay.state_field_ids(reg, "pre")
-    m = {}
-    for d in range(sset.grid.dim):
-        m.update(zip(sset.var_ids[d], fields[d]))
-    lifted = model.mgr.import_function(sset.chi, m)
-    return lifted & _reg_is_state(model.mgr, lay, reg, "pre") & model.state_domain
+    block = lay.x_pre[0 if anchor == "newest" else -1]
+    lifted = model.mgr.import_function(sset.chi, dict(zip(sset.block, block)))
+    return lifted & _reg_is_state(model.mgr, lay, block) & model.state_domain
 
 
 def post_image(model, states):

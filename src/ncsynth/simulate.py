@@ -161,13 +161,13 @@ class ClosedLoop:
     revisits the same keys, so the BDDs are asked once per distinct key.
     """
 
-    def __init__(self, plant, controller, x0, model=None, u0=None, seed=0,
+    def __init__(self, plant, controller, x0, u0=None, seed=0,
                  channel_mode="prolonged", unsafe=False):
         self.plant = plant
         self.controller = controller
-        self.model = model if model is not None else controller.model
+        self.model = controller.model
         if self.model is None:
-            raise ValueError("a model is required (none attached to controller)")
+            raise ValueError("the controller carries no model")
         if channel_mode == "random" and not unsafe:
             raise ValueError(
                 "random-delay channels void the refinement guarantee, which "
@@ -201,9 +201,7 @@ class ClosedLoop:
         # preload the actuation channel: the hold applies the
         # initialization input until the first real output arrives
         for age in range(self.c, 0, -1):
-            delay = (self.ca.n_max if channel_mode == "prolonged"
-                     else self.rng.randint(self.ca.n_min, self.ca.n_max))
-            self.ca.queue.append((-age, self.u0_idx, delay))
+            self.ca.send(self.u0_idx, -age)
             self._output_hist.appendleft(self.u0_idx)
         self.zoh = self.input_grid.center(self.u0_idx)
 
@@ -331,26 +329,24 @@ class ClosedLoop:
 # trace export
 
 
-def export_trace(trace, path, fmt=None):
-    """Write a trace as CSV (columns of Trace.columns) or JSON.
+def export_trace(trace, path):
+    """Write a trace as JSON when `path` ends in .json, as CSV (columns of
+    Trace.columns) otherwise.
 
     The JSON text is exactly what ``json.dump(payload, fh, indent=1)``
     writes for the payload ``{"meta": ..., "records": [...]}``.  It is
     filled into a fixed template per record instead, because with
     ``indent`` the ``json`` module runs its pure-Python encoder.
     """
-    fmt = fmt or ("json" if str(path).endswith(".json") else "csv")
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)    # a float's str is its repr
-            w.writerow(trace.columns())
-            w.writerows(trace.values())
-    elif fmt == "json":
+    if str(path).endswith(".json"):
         text = _json_text(trace)
         with open(path, "w") as fh:
             fh.write(text)
     else:
-        raise ValueError(f"unknown trace format {fmt!r}")
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)    # a float's str is its repr
+            w.writerow(trace.columns())
+            w.writerows(trace.values())
 
 
 # json's own spellings of the floats that float.__repr__ writes otherwise

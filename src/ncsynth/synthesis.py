@@ -212,8 +212,9 @@ def solve_persistence(model, safe):
     outer = inner_total = 0
     while True:
         Y = all_pairs
+        below = cpre(model, Z)      # Z is fixed for the inner loop
         while True:
-            nxt = (safe_pairs & cpre(model, Y)) | cpre(model, Z)
+            nxt = (safe_pairs & cpre(model, Y)) | below
             inner_total += 1
             if nxt == Y:
                 break

@@ -104,6 +104,16 @@ class TestConfigValidation:
         assert f"error: {key.rsplit('.', 1)[0]}: " in err
         assert not (out / "plant.bdd").exists()
 
+    def test_recurrence_refuses_safe_boxes(self, tmp_path, capsys):
+        # solve_recurrence takes no safe set: the boxes would be ignored
+        cfgp = toy_config(tmp_path, **{"spec.kind": "recurrence",
+                                       "spec.safe": [[[0], [2]]]})
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfgp), "--out", str(out)])
+        assert rc == 2
+        assert "error: spec.safe: " in capsys.readouterr().err
+        assert not (out / "plant.bdd").exists()
+
 
 class TestToyPipeline:
     def test_full_chain_and_manifests(self, tmp_path, capsys):

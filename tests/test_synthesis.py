@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncsynth import synthesis
 from ncsynth.bdd import Manager
 from ncsynth.synthesis import (Controller, SynthesisError, cpre,
                                solve_gen_buchi, solve_persistence,
@@ -186,6 +187,30 @@ class TestPersistence:
         c = solve_persistence(ts, state_set_to_bdd(ts, safe))
         exp = solve_persistence_explicit([0, 1, 2], [0, 1], trans, safe)
         assert domain_to_set(ts, c.domain) == {x for x, _ in exp} == {0, 1, 2}
+
+    def test_cpre_of_lower_layer_once_per_outer_iteration(self, monkeypatch):
+        # 8-state walker: input 0 steps left (0 stays), 1 steps right (7
+        # stays), 2 stays or steps right
+        trans = {}
+        for x in range(8):
+            trans[x, 0] = {max(x - 1, 0)}
+            trans[x, 1] = {min(x + 1, 7)}
+            trans[x, 2] = {x, min(x + 1, 7)}
+        ts = build_explicit_ts(Manager(), 8, 3, trans)
+        calls = []
+        real_cpre = synthesis.cpre
+
+        def counted(*args):
+            calls.append(args)
+            return real_cpre(*args)
+
+        monkeypatch.setattr(synthesis, "cpre", counted)
+        safe = {5, 6, 7}
+        c = solve_persistence(ts, state_set_to_bdd(ts, safe))
+        stats = c.stats
+        assert len(calls) == stats["inner_iterations"] + stats["iterations"] == 23
+        exp = solve_persistence_explicit(list(range(8)), [0, 1, 2], trans, safe)
+        assert domain_to_set(ts, c.domain) == {x for x, _ in exp}
 
 
 class TestRecurrence:
