@@ -27,13 +27,11 @@ from pathlib import Path
 from . import codegen as codegen_mod
 from . import inspect_tools
 from .abstraction import build_abstraction, remove_region
-from .bdd import Manager
 from .bddfile import BddFileError
-from .codegen import CodegenError
 from .config import ConfigError, RunConfig
-from .modelio import (layout_meta, load_controller, load_ncs_model,
-                      load_plant_model, save_controller, save_ncs_model,
-                      save_plant_model)
+from .modelio import (artifact_files, load_controller, load_model,
+                      load_ncs_model, load_plant_model, save_controller,
+                      save_ncs_model, save_plant_model)
 from .ncs import DelayBounds, expand, expand_spec_set, reachable
 from .plants import make_plant
 from .simulate import ClosedLoop, DomainViolation, export_trace
@@ -59,18 +57,32 @@ class EmptyController(Exception):
 
 
 def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+_PRODUCER = {"plant.bdd": "abstract", "ncs.bdd": "expand",
+             "controller.bdd": "synth"}
+
+
+def _inputs(out_dir, *names):
+    """Paths of the named files of `out_dir`; a missing one is refused with
+    the name of the stage that writes it."""
+    paths = [Path(out_dir) / name for name in names]
+    for p in paths:
+        if not p.exists():
+            raise UsageError(f"{p} not found; run the {_PRODUCER[p.name]} "
+                             f"stage first")
+    return paths
 
 
 def _write_manifest(out_dir, stage, cfg, inputs, outputs, sizes, t0):
+    """`inputs` pairs each root file the stage read with its metadata; the
+    manifest lists every file of those artifacts."""
+    files = [f for root, meta in inputs for f in artifact_files(root, meta)]
     manifest = {
         "stage": stage,
-        "config_sha256": cfg.sha256() if cfg else None,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "config_sha256": cfg.sha256(),
+        "inputs": {str(p): _sha256(p) for p in files},
         "outputs": {str(p): _sha256(p) for p in outputs},
         "sizes": sizes,
         "seconds": round(time.monotonic() - t0, 3),
@@ -78,13 +90,11 @@ def _write_manifest(out_dir, stage, cfg, inputs, outputs, sizes, t0):
     path = Path(out_dir) / f"{stage}.manifest.json"
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
-    return manifest
 
 
 def _plant(cfg):
-    plant = make_plant(cfg.plant.name, tau=cfg.plant.tau,
-                       params=cfg.plant.params)
-    return plant
+    return make_plant(cfg.plant.name, tau=cfg.plant.tau,
+                      params=cfg.plant.params)
 
 
 # ----------------------------------------------------------------------
@@ -98,8 +108,7 @@ def cmd_abstract(cfg, out_dir):
     if cfg.spec.obstacles:
         region = ts.pre_set.empty().add_boxes(cfg.spec.obstacles)
         ts = remove_region(ts, region)
-    path = Path(out_dir) / "plant.bdd"
-    save_plant_model(ts, path)
+    outputs = save_plant_model(ts, Path(out_dir) / "plant.bdd")
     sizes = {
         "n_states": ts.n_states(),
         "n_transitions": ts.n_transitions(),
@@ -107,23 +116,20 @@ def cmd_abstract(cfg, out_dir):
         "state_bits": sum(ts.pre_set.grid.bits),
         "input_bits": sum(ts.input_set.grid.bits),
     }
-    _write_manifest(out_dir, "abstract", cfg, [], [path], sizes, t0)
+    _write_manifest(out_dir, "abstract", cfg, [], outputs, sizes, t0)
     print(f"plant model: {sizes['n_transitions']} transitions over "
           f"{sizes['n_states']} cells "
           f"({'deterministic' if sizes['deterministic'] else 'nondeterministic'})",
           file=sys.stderr)
-    return path
+    return outputs[0]
 
 
 def cmd_expand(cfg, out_dir):
     t0 = time.monotonic()
-    plant_path = Path(out_dir) / "plant.bdd"
-    if not plant_path.exists():
-        raise UsageError(f"{plant_path} not found; run the abstract stage first")
-    base, _ = load_plant_model(plant_path)
+    plant_path, = _inputs(out_dir, "plant.bdd")
+    base, plant_meta = load_plant_model(plant_path)
     model = expand(base, cfg.delays)
-    path = Path(out_dir) / "ncs.bdd"
-    save_ncs_model(model, path)
+    outputs = save_ncs_model(model, Path(out_dir) / "ncs.bdd")
     sizes = {
         "n_states_formula": model.state_count(),
         "n_states_symbolic": model.n_states_symbolic(),
@@ -136,12 +142,11 @@ def cmd_expand(cfg, out_dir):
         sizes["n_reachable"] = model.mgr.sat_count(r, model.pre_vars)
         sizes["n_transitions_from_reachable"] = model.mgr.sat_count(
             model.trans & r, model.all_vars)
-    init_path = Path(out_dir) / "ncs.init.bdd"
-    _write_manifest(out_dir, "expand", cfg, [plant_path], [path, init_path],
-                    sizes, t0)
+    _write_manifest(out_dir, "expand", cfg, [(plant_path, plant_meta)],
+                    outputs, sizes, t0)
     print(f"expanded model: {sizes['n_states_symbolic']} states, "
           f"{sizes['n_transitions']} transitions", file=sys.stderr)
-    return path
+    return outputs[0]
 
 
 def _spec_sets(cfg, base, model):
@@ -161,13 +166,9 @@ def _spec_sets(cfg, base, model):
 
 def cmd_synth(cfg, out_dir):
     t0 = time.monotonic()
-    ncs_path = Path(out_dir) / "ncs.bdd"
-    plant_path = Path(out_dir) / "plant.bdd"
-    for p in (ncs_path, plant_path):
-        if not p.exists():
-            raise UsageError(f"{p} not found; run earlier stages first")
-    model, _ = load_ncs_model(ncs_path)
-    base, _ = load_plant_model(plant_path)
+    ncs_path, plant_path = _inputs(out_dir, "ncs.bdd", "plant.bdd")
+    model, ncs_meta = load_ncs_model(ncs_path)
+    base, plant_meta = load_plant_model(plant_path)
     # spec boxes live on the plant grid; rebuild them against the plant
     # file's variable numbering, then lift into the expanded space
     targets, safe = _spec_sets(cfg, base, model)
@@ -198,40 +199,24 @@ def cmd_synth(cfg, out_dir):
         "empty": ctrl.is_empty,
         "domain_size": model.mgr.sat_count(ctrl.domain, model.pre_vars),
     }
+    outputs = [] if ctrl.is_empty else save_controller(
+        ctrl, Path(out_dir) / "controller.bdd",
+        {"spec_kind": kind, "name": cfg.codegen.name})
+    _write_manifest(out_dir, "synth", cfg,
+                    [(ncs_path, ncs_meta), (plant_path, plant_meta)],
+                    outputs, sizes, t0)
     if ctrl.is_empty:
-        _write_manifest(out_dir, "synth", cfg, [ncs_path, plant_path], [],
-                        sizes, t0)
         raise EmptyController(f"{kind} specification is not enforceable on "
                               f"this model (empty controller)")
-    path = Path(out_dir) / "controller.bdd"
-    extra = {
-        "kind": "controller",
-        "model_kind": "ncs",
-        "spec_kind": kind,
-        "name": cfg.codegen.name,
-        **layout_meta(model),
-    }
-    save_controller(ctrl, path, extra)
-    outputs = [path]
-    if ctrl.modes:
-        outputs += [Path(out_dir) / f"controller.goal{i}.bdd"
-                    for i in range(len(ctrl.modes))]
-        outputs += [Path(out_dir) / f"controller.m{i}.bdd"
-                    for i in range(1, len(ctrl.modes))]
-        outputs.append(Path(out_dir) / "controller.modes.json")
-    _write_manifest(out_dir, "synth", cfg, [ncs_path, plant_path], outputs,
-                    sizes, t0)
     print(f"controller: kind={kind} domain={sizes['domain_size']} "
           f"modes={sizes['modes']} iterations={sizes['iterations']}",
           file=sys.stderr)
-    return path
+    return outputs[0]
 
 
 def cmd_sim(cfg, out_dir, unsafe=False, seed=None):
     t0 = time.monotonic()
-    ctrl_path = Path(out_dir) / "controller.bdd"
-    if not ctrl_path.exists():
-        raise UsageError(f"{ctrl_path} not found; run the synth stage first")
+    ctrl_path, = _inputs(out_dir, "controller.bdd")
     ctrl, meta = load_controller(ctrl_path)
     plant = _plant(cfg)
     if not cfg.sim.x0:
@@ -253,25 +238,22 @@ def cmd_sim(cfg, out_dir, unsafe=False, seed=None):
         def stop(rec):
             return target.contains_point(rec.x)
     trace = loop.run(cfg.sim.steps, stop=stop)
-    csv_path = Path(out_dir) / "trace.csv"
-    json_path = Path(out_dir) / "trace.json"
-    export_trace(trace, csv_path)
-    export_trace(trace, json_path)
+    outputs = [Path(out_dir) / "trace.csv", Path(out_dir) / "trace.json"]
+    for path in outputs:
+        export_trace(trace, path)
     sizes = {"steps": len(trace.records),
              "final_state": list(trace.records[-1].x) if trace.records else None,
              "modes_visited": sorted({r.mode for r in trace.records})}
-    _write_manifest(out_dir, "sim", cfg, [ctrl_path], [csv_path, json_path],
-                    sizes, t0)
-    print(f"simulated {sizes['steps']} steps; trace written to {csv_path}",
+    _write_manifest(out_dir, "sim", cfg, [(ctrl_path, meta)], outputs, sizes,
+                    t0)
+    print(f"simulated {sizes['steps']} steps; trace written to {outputs[0]}",
           file=sys.stderr)
-    return csv_path
+    return outputs[0]
 
 
 def cmd_codegen(cfg, out_dir):
     t0 = time.monotonic()
-    ctrl_path = Path(out_dir) / "controller.bdd"
-    if not ctrl_path.exists():
-        raise UsageError(f"{ctrl_path} not found; run the synth stage first")
+    ctrl_path, = _inputs(out_dir, "controller.bdd")
     ctrl, meta = load_controller(ctrl_path)
     delays = meta.get("delays")
     if delays and not DelayBounds(**delays).prolonged:
@@ -284,38 +266,22 @@ def cmd_codegen(cfg, out_dir):
                                 cfg.codegen.targets)
     outputs = []
     for art in arts:
-        base = Path(out_dir) / art["name"]
-        if "header" in art:
-            hp = base.with_suffix(".h")
-            cp = base.with_suffix(".c")
-            hp.write_text(art["header"])
-            cp.write_text(art["source"])
-            outputs += [hp, cp]
-        if "verilog" in art:
-            vp = base.with_suffix(".v")
-            vp.write_text(art["verilog"])
-            outputs.append(vp)
+        for key, suffix in (("header", ".h"), ("source", ".c"),
+                            ("verilog", ".v")):
+            if key in art:
+                outputs.append(Path(out_dir) / (art["name"] + suffix))
+                outputs[-1].write_text(art[key])
     sizes = {"artifacts": [a["name"] for a in arts],
              "targets": list(cfg.codegen.targets)}
-    _write_manifest(out_dir, "codegen", cfg, [ctrl_path], outputs, sizes, t0)
+    _write_manifest(out_dir, "codegen", cfg, [(ctrl_path, meta)], outputs,
+                    sizes, t0)
     print(f"emitted {', '.join(sizes['artifacts'])} "
           f"({', '.join(sizes['targets'])})", file=sys.stderr)
     return outputs
 
 
-def _load_any_model(path):
-    from .bddfile import load
-    _, meta = load(path)
-    kind = meta.get("kind")
-    if kind == "plant_model":
-        return load_plant_model(path)
-    if kind == "ncs_model":
-        return load_ncs_model(path)
-    raise UsageError(f"{path}: not a model file (kind={kind!r})")
-
-
 def cmd_fsm(path, out_path, fmt):
-    model, _ = _load_any_model(path)
+    model, _ = load_model(path)
     n = inspect_tools.write_fsm(model, out_path, fmt=fmt)
     print(f"wrote {n} transitions to {out_path}", file=sys.stderr)
 
@@ -330,7 +296,7 @@ def cmd_coverage(path, dims):
 
 
 def cmd_explore(path, controller_path=None):
-    model, _ = _load_any_model(path)
+    model, _ = load_model(path)
     ctrl = None
     if controller_path:
         ctrl, _ = load_controller(controller_path)
@@ -383,19 +349,6 @@ def build_parser():
     return p
 
 
-def _run_stage(stage, cfg, out_dir, args):
-    if stage == "abstract":
-        cmd_abstract(cfg, out_dir)
-    elif stage == "expand":
-        cmd_expand(cfg, out_dir)
-    elif stage == "synth":
-        cmd_synth(cfg, out_dir)
-    elif stage == "sim":
-        cmd_sim(cfg, out_dir, unsafe=args.unsafe, seed=args.seed)
-    else:
-        cmd_codegen(cfg, out_dir)
-
-
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -406,7 +359,10 @@ def main(argv=None):
             out_dir = Path(args.out)
             out_dir.mkdir(parents=True, exist_ok=True)
             for stage in STAGES if args.command == "run" else (args.command,):
-                _run_stage(stage, cfg, out_dir, args)
+                # looked up at call time, so a patched cmd_<stage> runs
+                opts = ({"unsafe": args.unsafe, "seed": args.seed}
+                        if stage == "sim" else {})
+                globals()[f"cmd_{stage}"](cfg, out_dir, **opts)
         elif args.command == "fsm":
             cmd_fsm(args.model, args.to, args.format)
         elif args.command == "dump":
@@ -424,16 +380,13 @@ def main(argv=None):
         # at interpreter exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (ConfigError, UsageError, BddFileError, CodegenError,
-            FileNotFoundError, ValueError) as exc:
+    except (EmptyController, DomainViolation, ConfigError, UsageError,
+            BddFileError, codegen_mod.CodegenError, FileNotFoundError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EmptyController as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_CONTROLLER
-    except DomainViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN_VIOLATION
+        return {EmptyController: EXIT_EMPTY_CONTROLLER,
+                DomainViolation: EXIT_DOMAIN_VIOLATION}.get(type(exc),
+                                                            EXIT_CONFIG)
     except RecursionError:
         print(f"error: {stage} stage: a BDD operation recursed deeper than "
               f"Python's recursion limit ({sys.getrecursionlimit()}); the "

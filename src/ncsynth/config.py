@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
+import re
 from dataclasses import dataclass, field
 
 from .grid import UniformGrid
 from .ncs import DelayBounds
+from .plants import _BUILDERS
 
 
 class ConfigError(Exception):
@@ -90,11 +93,23 @@ class PlantConfig:
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ConfigError("plant: expected an object")
-        return cls(name=_require(d, "name", str, "plant"),
-                   tau=_require(d, "tau", float, "plant"),
+        name = _require(d, "name", str, "plant")
+        if name not in _BUILDERS:
+            raise ConfigError(f"plant.name: unknown plant {name!r}; have "
+                              f"{sorted(_BUILDERS)}")
+        params = {} if d.get("params") is None else d["params"]
+        if not isinstance(params, dict):
+            raise ConfigError("plant.params: expected an object")
+        # tau comes from plant.tau
+        known = set(inspect.signature(_BUILDERS[name]).parameters) - {"tau"}
+        if set(params) - known:
+            raise ConfigError(f"plant.params: unknown keys "
+                              f"{sorted(set(params) - known)} for plant "
+                              f"{name!r}, which takes {sorted(known)}")
+        return cls(name=name, tau=_require(d, "tau", float, "plant"),
                    grid=_grid(d.get("grid"), "plant.grid"),
                    input_grid=_grid(d.get("input_grid"), "plant.input_grid"),
-                   params=d.get("params") or {})
+                   params=params)
 
 
 def _delays(d):
@@ -160,7 +175,7 @@ class SimConfig:
             raise ConfigError(f"sim.channel_mode: unknown mode {mode!r}")
         return cls(steps=_require(d, "steps", int, "sim") if "steps" in d else 100,
                    x0=_vector(d, "x0", "sim"),
-                   seed=d.get("seed", 0),
+                   seed=_require(d, "seed", int, "sim") if "seed" in d else 0,
                    channel_mode=mode,
                    u0=_vector(d, "u0", "sim", optional=True))
 
@@ -174,11 +189,22 @@ class CodegenConfig:
     def from_dict(cls, d):
         if d is None:
             return cls()
-        targets = tuple(d.get("targets", ("c", "verilog")))
+        if not isinstance(d, dict):
+            raise ConfigError("codegen: expected an object")
+        targets = d.get("targets", ["c", "verilog"])
+        if not isinstance(targets, list):
+            raise ConfigError("codegen.targets: expected a list")
         for t in targets:
             if t not in ("c", "verilog"):
                 raise ConfigError(f"codegen.targets: unknown target {t!r}")
-        return cls(targets=targets, name=d.get("name", "controller"))
+        # the name starts C and Verilog identifiers and the output files,
+        # which are written in --out
+        name = d.get("name", "controller")
+        if not (isinstance(name, str)
+                and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name)):
+            raise ConfigError(f"codegen.name: {json.dumps(name)} is not a C "
+                              f"identifier ([A-Za-z_][A-Za-z0-9_]*)")
+        return cls(targets=tuple(targets), name=name)
 
 
 @dataclass(frozen=True)
@@ -205,12 +231,14 @@ class RunConfig:
             raise ConfigError("missing required section 'delays'")
         if "spec" not in d:
             raise ConfigError("missing required section 'spec'")
+        if not isinstance(d.get("report_reachable", False), bool):
+            raise ConfigError("report_reachable: expected true or false")
         return cls(plant=PlantConfig.from_dict(d["plant"]),
                    delays=_delays(d["delays"]),
                    spec=SpecConfig.from_dict(d["spec"]),
                    sim=SimConfig.from_dict(d.get("sim")),
                    codegen=CodegenConfig.from_dict(d.get("codegen")),
-                   report_reachable=bool(d.get("report_reachable", False)),
+                   report_reachable=d.get("report_reachable", False),
                    raw=d)
 
     @classmethod

@@ -1,10 +1,10 @@
 """Persisting models and controllers as BDD files with rich metadata.
 
 Each file stores exactly one function; composite artifacts use sibling
-files plus a JSON sidecar.  The metadata block carries everything needed
-to reinterpret the variables downstream: grids, sampling period, delay
-bounds, and the variable layout, so tools can decode states without the
-construction config.
+files plus a JSON sidecar, named here alone (`artifact_files`).  The
+metadata carries everything needed to reinterpret the variables: grids,
+sampling period, delay bounds and the variable layout, so tools can
+decode states without the construction config.
 """
 
 from __future__ import annotations
@@ -29,54 +29,79 @@ def _grid_from_meta(m):
 
 
 def _var_roles_plant(ts):
-    roles = []
-    for d, ids in enumerate(ts.input_set.var_ids):
-        for b, v in enumerate(ids):
-            roles.append({"var": v, "role": "input", "dim": d, "bit": b})
-    for d, (pre, post) in enumerate(zip(ts.pre_set.var_ids, ts.post_set.var_ids)):
-        for b, (vp, vq) in enumerate(zip(pre, post)):
-            roles.append({"var": vp, "role": "pre", "dim": d, "bit": b})
-            roles.append({"var": vq, "role": "post", "dim": d, "bit": b})
+    roles = [{"var": v, "role": role, "dim": d, "bit": b}
+             for role, s in (("input", ts.input_set), ("pre", ts.pre_set),
+                             ("post", ts.post_set))
+             for d, ids in enumerate(s.var_ids) for b, v in enumerate(ids)]
     return sorted(roles, key=lambda r: r["var"])
 
 
 def _var_roles_ncs(lay):
-    roles = []
-    for b, v in enumerate(lay.label):
-        roles.append({"var": v, "role": "input", "bit": b})
-    for which in ("pre", "post"):
-        for name, block in lay.named_registers(which):
-            for b, v in enumerate(block):
-                roles.append({"var": v, "role": which, "block": name, "bit": b})
+    roles = [{"var": v, "role": "input", "bit": b}
+             for b, v in enumerate(lay.label)]
+    roles += [{"var": v, "role": which, "block": name, "bit": b}
+              for which in ("pre", "post")
+              for name, block in lay.named_registers(which)
+              for b, v in enumerate(block)]
     return sorted(roles, key=lambda r: (r["var"], r["role"]))
 
 
-def save_plant_model(ts, path):
-    meta = {
-        "kind": "plant_model",
+def _plant_keys(ts):
+    """The keys `_plant_from_meta` reads, for plant-model and controller
+    files alike."""
+    return {
         "name": ts.name,
         "tau": ts.tau,
         "state_grid": _grid_meta(ts.pre_set.grid),
         "input_grid": _grid_meta(ts.input_set.grid),
-        "vars": {
-            "input": [list(ids) for ids in ts.input_set.var_ids],
-            "pre": [list(ids) for ids in ts.pre_set.var_ids],
-            "post": [list(ids) for ids in ts.post_set.var_ids],
-        },
-        "deterministic": ts.is_deterministic(),
-        "initial": "domain",
-        "var_roles": _var_roles_plant(ts),
+        "vars": {key: [list(ids) for ids in s.var_ids] for key, s in
+                 (("input", ts.input_set), ("pre", ts.pre_set),
+                  ("post", ts.post_set))},
     }
+
+
+def save_plant_model(ts, path):
+    """Write the plant model; returns the files written."""
+    meta = {"kind": "plant_model", **_plant_keys(ts),
+            "deterministic": ts.is_deterministic(), "initial": "domain",
+            "var_roles": _var_roles_plant(ts)}
     save(ts.trans, meta, path)
-    return meta
+    return [Path(path)]
+
+
+_KIND_NAMES = {"plant_model": "a plant model",
+               "ncs_model": "an expanded model", "controller": "a controller"}
+
+
+def _read(path, *kinds):
+    """Function and metadata of `path`, whose kind must be in `kinds` and
+    whose expanded-model layout, if any, must be this one."""
+    f, meta = load(path)
+    if meta.get("kind") not in kinds:
+        raise BddFileError(f"{path}: expected "
+                           f"{' or '.join(_KIND_NAMES[k] for k in kinds)}, "
+                           f"found {meta.get('kind')!r}")
+    if meta["kind"] == "ncs_model" or meta.get("model_kind") == "ncs":
+        _check_layout_version(meta, path)
+    return f, meta
+
+
+def load_model(path, kinds=("plant_model", "ncs_model")):
+    """The plant or expanded model stored in `path`, built as its kind
+    says; a kind outside `kinds` is refused."""
+    f, meta = _read(path, *kinds)
+    if meta["kind"] == "plant_model":
+        return _plant_from_meta(meta, f.mgr, f), meta
+    initial, _ = load(artifact_files(path, meta)[1], manager=f.mgr)
+    return make_shell_ncs_model(meta, f.mgr, f, initial), meta
 
 
 def load_plant_model(path):
-    trans, meta = load(path)
-    if meta.get("kind") != "plant_model":
-        raise BddFileError(f"{path}: expected a plant model, found "
-                           f"{meta.get('kind')!r}")
-    return _plant_from_meta(meta, trans.mgr, trans), meta
+    return load_model(path, ("plant_model",))
+
+
+def load_ncs_model(path):
+    return load_model(path, ("ncs_model",))
 
 
 def _plant_from_meta(meta, mgr, trans):
@@ -97,8 +122,8 @@ def _grown_manager(mgr, total):
 
 
 def layout_meta(model):
-    """The layout keys that `_layout_from_meta` and `make_shell_ncs_model`
-    read, for expanded-model and controller files alike."""
+    """The layout keys that `make_shell_ncs_model` reads, for
+    expanded-model and controller files alike."""
     b = model.bounds
     return {
         "tau": model.tau,
@@ -110,28 +135,49 @@ def layout_meta(model):
     }
 
 
-def _init_path(path):
-    p = Path(path)
-    return p.with_name(p.stem + ".init" + p.suffix)
+def _sibling(path, tail):
+    """`<stem>.<tail>` next to `path`."""
+    return path.with_name(f"{path.stem}.{tail}")
+
+
+def _read_sidecar(path):
+    """Path and content of the mode automaton of controller `path`."""
+    sidecar = _sibling(path, "modes.json")
+    try:
+        with open(sidecar) as fh:
+            return sidecar, json.load(fh)
+    except FileNotFoundError:
+        raise BddFileError(f"{path}: mode-switching controller without its "
+                           f"mode automaton {sidecar}") from None
+
+
+def artifact_files(path, meta):
+    """Every file of the model or controller whose root file is `path` and
+    whose root metadata is `meta`, root first: what its save writes and
+    what its load opens."""
+    path = Path(path)
+    if meta.get("kind") == "ncs_model":
+        return [path, _sibling(path, "init" + path.suffix)]
+    if not meta.get("dynamic"):
+        return [path]
+    sidecar, content = _read_sidecar(path)
+    names = {e[k] for e in content["modes"] for k in ("relation", "goal")}
+    return [path, *(path.with_name(n) for n in sorted(names - {path.name})),
+            sidecar]
 
 
 def save_ncs_model(model, path):
+    """Write the relation and its initial states; returns the files
+    written."""
     meta = {"kind": "ncs_model", "name": model.base_name,
             **layout_meta(model), "layout_version": LAYOUT_VERSION,
             "base_deterministic": model.base_deterministic,
             "marker_code": model.layout.marker_code,
             "var_roles": _var_roles_ncs(model.layout)}
-    save(model.trans, meta, path)
-    save(model.initial, meta, _init_path(path))
-    return meta
-
-
-def _layout_from_meta(meta):
-    bounds = DelayBounds(**meta["delays"])
-    state_grid = _grid_from_meta(meta["state_grid"])
-    input_grid = _grid_from_meta(meta["input_grid"])
-    lay = NcsLayout(bounds, state_grid, input_grid)
-    return bounds, lay
+    root, init = artifact_files(path, meta)
+    save(model.trans, meta, root)
+    save(model.initial, meta, init)
+    return [root, init]
 
 
 def _check_layout_version(meta, path):
@@ -145,29 +191,20 @@ def _check_layout_version(meta, path):
             f"`ncsynth expand` and the later stages to rebuild it")
 
 
-def load_ncs_model(path):
-    trans, meta = load(path)
-    if meta.get("kind") != "ncs_model":
-        raise BddFileError(f"{path}: expected an expanded model, found "
-                           f"{meta.get('kind')!r}")
-    _check_layout_version(meta, path)
-    initial, meta2 = load(_init_path(path), manager=trans.mgr)
-    bounds, lay = _layout_from_meta(meta)
-    model = NcsModel(mgr=trans.mgr, layout=lay, bounds=bounds, trans=trans,
-                     initial=initial, base_name=meta.get("name", "plant"),
-                     tau=meta.get("tau", 0.0),
-                     base_deterministic=meta.get("base_deterministic", False))
-    return model, meta
-
-
-def make_shell_ncs_model(meta, mgr=None):
-    """Model carcass from controller metadata: layout, grids, and bounds
-    for simulation and decoding; the transition relation is not loaded."""
-    bounds, lay = _layout_from_meta(meta)
+def make_shell_ncs_model(meta, mgr=None, trans=None, initial=None):
+    """The expanded model that `meta` describes.  Without `trans` and
+    `initial` it is a carcass, as a controller file describes its model:
+    layout, grids and bounds for simulation and decoding, no relation."""
+    bounds = DelayBounds(**meta["delays"])
+    lay = NcsLayout(bounds, _grid_from_meta(meta["state_grid"]),
+                    _grid_from_meta(meta["input_grid"]))
     mgr = _grown_manager(mgr, lay.var_count)
-    return NcsModel(mgr=mgr, layout=lay, bounds=bounds, trans=mgr.false,
-                    initial=mgr.false, base_name=meta.get("name", "plant"),
-                    tau=meta.get("tau", 0.0))
+    return NcsModel(mgr=mgr, layout=lay, bounds=bounds,
+                    trans=mgr.false if trans is None else trans,
+                    initial=mgr.false if initial is None else initial,
+                    base_name=meta.get("name", "plant"),
+                    tau=meta.get("tau", 0.0),
+                    base_deterministic=meta.get("base_deterministic", False))
 
 
 def make_shell_plant_model(meta, mgr=None):
@@ -176,56 +213,50 @@ def make_shell_plant_model(meta, mgr=None):
     return _plant_from_meta(meta, mgr, mgr.false)
 
 
-def _modes_path(path):
-    p = Path(path)
-    return p.with_name(p.stem + ".modes.json")
-
-
 def save_controller(ctrl, path, extra_meta=None):
     """Relation plus, for mode-switching controllers, one file per mode
-    relation and goal and a JSON sidecar listing the automaton."""
+    relation and goal and a JSON sidecar listing the automaton.  The
+    metadata describes `ctrl.model`; `extra_meta` adds keys such as the
+    spec kind and the name.  Returns the files written."""
     path = Path(path)
-    meta = dict(extra_meta or {})
-    meta.setdefault("kind", "controller")
-    if meta.get("model_kind") == "ncs":
-        meta["layout_version"] = LAYOUT_VERSION
-    meta["stats"] = {k: v for k, v in ctrl.stats.items()
-                     if isinstance(v, (int, float, str, bool))}
-    meta["dynamic"] = bool(ctrl.modes)
+    if isinstance(ctrl.model, NcsModel):
+        meta = {"model_kind": "ncs", **layout_meta(ctrl.model),
+                "layout_version": LAYOUT_VERSION}
+    else:
+        meta = {"model_kind": "plant", **_plant_keys(ctrl.model)}
+    meta = {"kind": "controller", **meta, **(extra_meta or {}),
+            "stats": {k: v for k, v in ctrl.stats.items()
+                      if isinstance(v, (int, float, str, bool))},
+            "dynamic": bool(ctrl.modes)}
     save(ctrl.relation, meta, path)
     if not ctrl.modes:
-        return meta
-    sidecar = {"mode_count": len(ctrl.modes), "modes": []}
+        return [path]
+    files, sidecar = [path], {"mode_count": len(ctrl.modes), "modes": []}
     for i, mode in enumerate(ctrl.modes):
-        rel_name = path.name if i == 0 else f"{path.stem}.m{i}{path.suffix}"
-        goal_name = f"{path.stem}.goal{i}{path.suffix}"
-        if i > 0:
-            save(mode.relation, meta, path.with_name(rel_name))
-        save(mode.goal, meta, path.with_name(goal_name))
-        sidecar["modes"].append({"relation": rel_name, "goal": goal_name,
+        rel = _sibling(path, f"m{i}{path.suffix}") if i else path
+        goal = _sibling(path, f"goal{i}{path.suffix}")
+        if i:
+            save(mode.relation, meta, rel)
+            files.append(rel)
+        save(mode.goal, meta, goal)
+        files.append(goal)
+        sidecar["modes"].append({"relation": rel.name, "goal": goal.name,
                                  "next": mode.next_mode})
-    with open(_modes_path(path), "w") as fh:
+    files.append(_sibling(path, "modes.json"))
+    with open(files[-1], "w") as fh:
         json.dump(sidecar, fh, indent=1)
-    return meta
+    return files
 
 
 def load_controller(path):
     path = Path(path)
-    relation, meta = load(path)
-    if meta.get("kind") != "controller":
-        raise BddFileError(f"{path}: expected a controller, found "
-                           f"{meta.get('kind')!r}")
+    relation, meta = _read(path, "controller")
     mgr = relation.mgr
-    if meta.get("model_kind") == "ncs":
-        _check_layout_version(meta, path)
-        model = make_shell_ncs_model(meta, mgr)
-    else:
-        model = make_shell_plant_model(meta, mgr)
+    model = (make_shell_ncs_model if meta.get("model_kind") == "ncs"
+             else make_shell_plant_model)(meta, mgr)
     modes = None
-    sidecar_path = _modes_path(path)
-    if meta.get("dynamic") and sidecar_path.exists():
-        with open(sidecar_path) as fh:
-            sidecar = json.load(fh)
+    if meta.get("dynamic"):
+        _, sidecar = _read_sidecar(path)
         modes = []
         for i, entry in enumerate(sidecar["modes"]):
             rel = (relation if i == 0

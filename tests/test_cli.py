@@ -33,6 +33,46 @@ def sha(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def gen_buchi_config(tmp_path):
+    """The toy on cells 0..4 with inputs -1..1, cycling between both ends:
+    a controller with two modes."""
+    return toy_config(tmp_path, **{
+        "plant.grid": {"lb": [0], "ub": [4], "eta": [1]},
+        "plant.input_grid": {"lb": [-1], "ub": [1], "eta": [1]},
+        "spec.kind": "gen_buchi", "spec.targets": [[[0], [0]], [[4], [4]]],
+        "sim.x0": [2]})
+
+
+_read_sinks = []   # lists that collect the files opened for reading
+
+
+def _audit_reads(event, args):
+    if event != "open" or not _read_sinks:
+        return
+    path, mode, flags = args
+    if isinstance(mode, str):
+        reading = not set(mode) & set("wax+")
+    else:
+        reading = not flags & (os.O_WRONLY | os.O_RDWR)
+    if reading and isinstance(path, (str, bytes, os.PathLike)):
+        for sink in _read_sinks:
+            sink.append(Path(os.fsdecode(path)))
+
+
+@pytest.fixture
+def file_reads():
+    """A list that collects every file the process opens for reading while
+    the test runs, through an audit hook (which cannot be removed: it
+    stays installed, idle, for the rest of the session)."""
+    if not getattr(_audit_reads, "installed", False):
+        sys.addaudithook(_audit_reads)
+        _audit_reads.installed = True
+    reads = []
+    _read_sinks.append(reads)
+    yield reads
+    _read_sinks.remove(reads)
+
+
 class TestConfigValidation:
     def test_missing_section(self, tmp_path):
         p = tmp_path / "c.json"
@@ -103,6 +143,29 @@ class TestConfigValidation:
         assert rc == 2
         assert f"error: {key.rsplit('.', 1)[0]}: " in err
         assert not (out / "plant.bdd").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("codegen.name", "../escaped"),
+        ("codegen.name", 5),
+        ("codegen.name", "my ctl"),
+        ("codegen", 5),
+        ("codegen.targets", "c"),
+        ("plant.name", "rocket"),
+        ("plant.params", {"dim": 1, "bogus": 2}),
+        ("plant.params", [1]),
+        ("sim.seed", [1]),
+        ("report_reachable", "no"),
+    ])
+    def test_bad_value_refused_before_any_stage(self, tmp_path, capsys,
+                                                key, value):
+        cfgp = toy_config(tmp_path, **{key: value})
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfgp), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {key}: ") and "Traceback" not in err
+        assert not (out / "plant.bdd").exists()
+        assert not list(tmp_path.glob("escaped.*"))
 
     def test_recurrence_refuses_safe_boxes(self, tmp_path, capsys):
         # solve_recurrence takes no safe set: the boxes would be ignored
@@ -199,6 +262,36 @@ class TestToyPipeline:
                    "--out", str(tmp_path / "fresh")])
         assert rc == 2
         assert "abstract" in capsys.readouterr().err
+
+
+class TestManifests:
+    def test_inputs_are_the_files_read_outputs_the_files_written(
+            self, tmp_path, monkeypatch, file_reads):
+        from ncsynth import cli
+        out = tmp_path / "out"
+        real_write_manifest = cli._write_manifest
+
+        def write_manifest(*args):
+            # hashing reads every input and output again: not a stage read
+            _read_sinks.remove(file_reads)
+            try:
+                real_write_manifest(*args)
+            finally:
+                _read_sinks.append(file_reads)
+
+        monkeypatch.setattr(cli, "_write_manifest", write_manifest)
+        cfgp = gen_buchi_config(tmp_path)
+        written = set()
+        for stage in cli.STAGES:
+            file_reads.clear()
+            assert main([stage, "--config", str(cfgp), "--out", str(out)]) == 0
+            read = {p.name for p in file_reads if p.parent == out}
+            manifest = json.loads((out / f"{stage}.manifest.json").read_text())
+            assert {Path(p).name for p in manifest["inputs"]} == read, stage
+            written |= {Path(p).name for p in manifest["outputs"]}
+        assert "controller.modes.json" in written
+        assert written == {p.name for p in out.iterdir()
+                           if not p.name.endswith(".manifest.json")}
 
 
 class TestGuards:
@@ -394,6 +487,23 @@ class TestCleanFailures:
         assert not list(out.glob("wide.[ch]"))
         manifest = json.loads((out / "codegen.manifest.json").read_text())
         assert manifest["sizes"]["targets"] == ["verilog"]
+
+    def test_controller_without_mode_automaton_exits_2(self, tmp_path,
+                                                       capsys):
+        cfgp = gen_buchi_config(tmp_path)
+        out = tmp_path / "out"
+        for stage in ("abstract", "expand", "synth"):
+            assert main([stage, "--config", str(cfgp), "--out", str(out)]) == 0
+        (out / "controller.modes.json").unlink()
+        capsys.readouterr()
+        for stage in ("sim", "codegen"):
+            rc = main([stage, "--config", str(cfgp), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 2, stage
+            assert err.startswith("error: ") and "Traceback" not in err
+            assert str(out / "controller.modes.json") in err, stage
+        assert not list(out.glob("toyctl*"))
+        assert not (out / "trace.csv").exists()
 
     def test_recursion_limit_exits_5(self, tmp_path, capsys):
         cfgp = integrator_config(tmp_path, (2, 2, 300, 300))

@@ -4,10 +4,10 @@ from ncsynth.abstraction import build_abstraction
 from ncsynth.bdd import Manager
 from ncsynth.bddfile import BddFileError
 from ncsynth.grid import UniformGrid
-from ncsynth.modelio import (load_controller, load_ncs_model,
-                             load_plant_model, make_shell_ncs_model,
-                             save_controller, save_ncs_model,
-                             save_plant_model)
+from ncsynth.modelio import (artifact_files, load_controller, load_model,
+                             load_ncs_model, load_plant_model,
+                             make_shell_ncs_model, save_controller,
+                             save_ncs_model, save_plant_model)
 from ncsynth.ncs import DelayBounds, expand, expand_spec_set
 from ncsynth.plants import robot
 from ncsynth.synthesis import solve_gen_buchi, solve_reach
@@ -125,3 +125,85 @@ def test_shell_model_decodes_like_original(tmp_path):
     a = model.encode_state(((3, 3), None), ((1, 1), (0, 2)))
     b = shell.encode_state(((3, 3), None), ((1, 1), (0, 2)))
     assert a == b
+
+
+def _two_mode_controller(model, ts):
+    box = ts.pre_set.empty().add_box
+    return solve_gen_buchi(model, [
+        expand_spec_set(box((5.0, 5.0), (6.0, 6.0)), model),
+        expand_spec_set(box((0.0, 0.0), (1.0, 1.0)), model)])
+
+
+def test_saves_return_the_files_that_artifact_files_lists(tmp_path):
+    _, ts, model = small_pipeline()
+    ctrl = _two_mode_controller(model, ts)
+    written = (save_plant_model(ts, tmp_path / "plant.bdd")
+               + save_ncs_model(model, tmp_path / "ncs.bdd")
+               + save_controller(ctrl, tmp_path / "ctl.bdd", {"name": "c"}))
+    assert sorted(written) == sorted(tmp_path.iterdir())
+    assert {p.name for p in written} == {
+        "plant.bdd", "ncs.bdd", "ncs.init.bdd", "ctl.bdd", "ctl.m1.bdd",
+        "ctl.goal0.bdd", "ctl.goal1.bdd", "ctl.modes.json"}
+    listed = []
+    for name, load_fn in (("plant.bdd", load_plant_model),
+                          ("ncs.bdd", load_ncs_model),
+                          ("ctl.bdd", load_controller)):
+        files = artifact_files(tmp_path / name, load_fn(tmp_path / name)[1])
+        assert files[0] == tmp_path / name
+        listed += files
+    assert sorted(listed) == sorted(written)
+
+
+def test_controller_metadata_comes_from_its_model(tmp_path):
+    _, ts, model = small_pipeline()
+    save_ncs_model(model, tmp_path / "ncs.bdd")
+    _, ncs_meta = load_ncs_model(tmp_path / "ncs.bdd")
+    save_controller(_two_mode_controller(model, ts), tmp_path / "ctl.bdd",
+                    {"spec_kind": "gen_buchi", "name": "c"})
+    _, meta = load_controller(tmp_path / "ctl.bdd")
+    assert (meta["kind"], meta["model_kind"]) == ("controller", "ncs")
+    assert (meta["spec_kind"], meta["name"]) == ("gen_buchi", "c")
+    for key in ("tau", "state_grid", "input_grid", "delays", "var_base",
+                "layout_version"):
+        assert meta[key] == ncs_meta[key], key
+
+
+def test_plant_controller_round_trip(tmp_path):
+    # a controller synthesized on the plant model itself, without delays
+    _, ts, _ = small_pipeline()
+    ctrl = solve_reach(ts, ts.pre_set.empty().add_box((5.0, 5.0),
+                                                      (6.0, 6.0)).chi)
+    assert save_controller(ctrl, tmp_path / "p.bdd") == [tmp_path / "p.bdd"]
+    back, meta = load_controller(tmp_path / "p.bdd")
+    assert meta["model_kind"] == "plant"
+    assert back.pre_vars == ctrl.pre_vars
+    assert back.input_vars == ctrl.input_vars
+    sup = tuple(sorted(ctrl.pre_vars + ctrl.input_vars))
+    assert back.relation.sat_count(sup) == ctrl.relation.sat_count(sup)
+    assert back.model.pre_set.grid == ts.pre_set.grid
+
+
+def test_mode_switching_controller_needs_its_automaton(tmp_path):
+    _, ts, model = small_pipeline()
+    save_controller(_two_mode_controller(model, ts), tmp_path / "ctl.bdd")
+    (tmp_path / "ctl.modes.json").unlink()
+    with pytest.raises(BddFileError, match="ctl.modes.json"):
+        load_controller(tmp_path / "ctl.bdd")
+
+
+def test_load_model_reads_either_model_kind(tmp_path):
+    _, ts, model = small_pipeline()
+    save_plant_model(ts, tmp_path / "plant.bdd")
+    save_ncs_model(model, tmp_path / "ncs.bdd")
+    plant, meta = load_model(tmp_path / "plant.bdd")
+    assert meta["kind"] == "plant_model"
+    assert plant.n_transitions() == ts.n_transitions()
+    ncs, meta = load_model(tmp_path / "ncs.bdd")
+    assert meta["kind"] == "ncs_model"
+    assert ncs.n_initial() == model.n_initial()
+    ctrl = solve_reach(model, expand_spec_set(
+        ts.pre_set.empty().add_box((5.0, 5.0), (6.0, 6.0)), model))
+    save_controller(ctrl, tmp_path / "ctl.bdd")
+    with pytest.raises(BddFileError, match="expected a plant model or an "
+                                           "expanded model"):
+        load_model(tmp_path / "ctl.bdd")
