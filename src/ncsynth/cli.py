@@ -240,10 +240,11 @@ def cmd_sim(cfg, out_dir, unsafe=False, seed=None):
     trace = loop.run(cfg.sim.steps, stop=stop)
     outputs = [Path(out_dir) / "trace.csv", Path(out_dir) / "trace.json"]
     for path in outputs:
-        export_trace(trace, path)
+        distinct = export_trace(trace, path)
     sizes = {"steps": len(trace.records),
              "final_state": list(trace.records[-1].x) if trace.records else None,
-             "modes_visited": sorted({r.mode for r in trace.records})}
+             "modes_visited": sorted({r.mode for r in trace.records}),
+             "distinct_records": distinct}
     _write_manifest(out_dir, "sim", cfg, [(ctrl_path, meta)], outputs, sizes,
                     t0)
     print(f"simulated {sizes['steps']} steps; trace written to {outputs[0]}",

@@ -9,7 +9,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .grid import UniformGrid
+from .grid import OutOfDomainError, UniformGrid
 from .ncs import DelayBounds
 from .plants import _BUILDERS
 
@@ -173,11 +173,42 @@ class SimConfig:
         mode = d.get("channel_mode", "prolonged")
         if mode not in ("prolonged", "random"):
             raise ConfigError(f"sim.channel_mode: unknown mode {mode!r}")
-        return cls(steps=_require(d, "steps", int, "sim") if "steps" in d else 100,
+        steps = d.get("steps", 100)
+        if type(steps) is not int or steps < 1:
+            raise ConfigError(f"sim.steps: expected a positive integer, got "
+                              f"{json.dumps(steps)}")
+        return cls(steps=steps,
                    x0=_vector(d, "x0", "sim"),
                    seed=_require(d, "seed", int, "sim") if "seed" in d else 0,
                    channel_mode=mode,
                    u0=_vector(d, "u0", "sim", optional=True))
+
+
+def _in_cells(point, grid, tag, where):
+    """Refuse a point that has not the grid's dimension or lies in none of
+    its cells."""
+    try:
+        grid.point_to_symbol(point)
+    except (ValueError, OutOfDomainError) as exc:
+        raise ConfigError(f"{tag}: not a point of {where}: {exc}") from None
+
+
+# IEEE 1364-2005, Annex B: the emitted module is named after codegen.name
+_VERILOG_KEYWORDS = frozenset("""
+    always and assign automatic begin buf bufif0 bufif1 case casex casez cell
+    cmos config deassign default defparam design disable edge else end
+    endcase endconfig endfunction endgenerate endmodule endprimitive
+    endspecify endtable endtask event for force forever fork function
+    generate genvar highz0 highz1 if ifnone incdir include initial inout
+    input instance integer join large liblist library localparam
+    macromodule medium module nand negedge nmos nor noshowcancelled not
+    notif0 notif1 or output parameter pmos posedge primitive pull0 pull1
+    pulldown pullup pulsestyle_ondetect pulsestyle_onevent rcmos real
+    realtime reg release repeat rnmos rpmos rtran rtranif0 rtranif1 scalared
+    showcancelled signed small specify specparam strong0 strong1 supply0
+    supply1 table task time tran tranif0 tranif1 tri tri0 tri1 triand trior
+    trireg unsigned use uwire vectored wait wand weak0 weak1 while wire wor
+    xnor xor""".split())
 
 
 @dataclass(frozen=True)
@@ -204,6 +235,9 @@ class CodegenConfig:
                 and re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name)):
             raise ConfigError(f"codegen.name: {json.dumps(name)} is not a C "
                               f"identifier ([A-Za-z_][A-Za-z0-9_]*)")
+        if name in _VERILOG_KEYWORDS:
+            raise ConfigError(f"codegen.name: {name!r} is a Verilog reserved "
+                              f"word")
         return cls(targets=tuple(targets), name=name)
 
 
@@ -233,10 +267,15 @@ class RunConfig:
             raise ConfigError("missing required section 'spec'")
         if not isinstance(d.get("report_reachable", False), bool):
             raise ConfigError("report_reachable: expected true or false")
-        return cls(plant=PlantConfig.from_dict(d["plant"]),
-                   delays=_delays(d["delays"]),
-                   spec=SpecConfig.from_dict(d["spec"]),
-                   sim=SimConfig.from_dict(d.get("sim")),
+        plant = PlantConfig.from_dict(d["plant"])
+        delays = _delays(d["delays"])
+        spec = SpecConfig.from_dict(d["spec"])
+        sim = SimConfig.from_dict(d.get("sim"))
+        if sim.x0:
+            _in_cells(sim.x0, plant.grid, "sim.x0", "plant.grid")
+        if sim.u0 is not None:
+            _in_cells(sim.u0, plant.input_grid, "sim.u0", "plant.input_grid")
+        return cls(plant=plant, delays=delays, spec=spec, sim=sim,
                    codegen=CodegenConfig.from_dict(d.get("codegen")),
                    report_reachable=d.get("report_reachable", False),
                    raw=d)

@@ -14,8 +14,10 @@ random mode exists for demonstration only and must be enabled explicitly.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import random
+import struct
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -99,11 +101,48 @@ class _Wire:
 @dataclass
 class StepRecord:
     k: int
-    x: tuple
+    x: tuple                    # plant state, floats
     delivered: tuple            # measured cell index vector, or None
     chosen: tuple               # input index vector, or None
-    applied: tuple              # input values held by the ZOH
+    applied: tuple              # input values held by the ZOH, floats
     mode: int
+
+
+class _Packers(dict):
+    """The struct packer of n doubles, per n."""
+
+    def __missing__(self, n):
+        pack = self[n] = struct.Struct(f"{n}d").pack
+        return pack
+
+
+_PACK = _Packers()
+
+
+def _bits(v):
+    """Key of a float vector that tells apart any two vectors whose bits
+    differ: 0.0 and -0.0 compare and hash equal but print apart."""
+    return _PACK[len(v)](*v)
+
+
+def _record_key(r):
+    """A record's text after its k is a function of this key, x and
+    applied holding floats as the closed loop writes them."""
+    return (_bits(r.x), r.delivered, r.chosen, _bits(r.applied), r.mode)
+
+
+def _per_distinct(records, render):
+    """[render(r) for r in records], calling render once per distinct
+    `_record_key`, and the number of distinct keys."""
+    memo = {}
+    out = []
+    for r in records:
+        key = _record_key(r)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = render(r)
+        out.append(text)
+    return out, len(memo)
 
 
 @dataclass
@@ -122,12 +161,15 @@ class Trace:
                 + ["delivered_symbol", "chosen_input_symbol"]
                 + [f"applied_u{d}" for d in range(m)] + ["mode"])
 
+    def _tail(self, r):
+        """Record r's values after k, in the order of `columns`."""
+        meta = self.meta
+        return [*r.x, _flat(r.delivered, meta["state_npoints"]),
+                _flat(r.chosen, meta["input_npoints"]), *r.applied, r.mode]
+
     def values(self):
         """One value list per record, in the order of `columns`."""
-        meta = self.meta
-        return [[r.k, *r.x, _flat(r.delivered, meta["state_npoints"]),
-                 _flat(r.chosen, meta["input_npoints"]), *r.applied, r.mode]
-                for r in self.records]
+        return [[r.k, *self._tail(r)] for r in self.records]
 
     def rows(self):
         """Canonical flat rows: one dict per record, keyed by `columns`."""
@@ -155,10 +197,13 @@ class ClosedLoop:
     has no delay channels: it is one state register and no input register,
     and the chosen input acts within the same step.
 
-    The controller's answers are memoised per loop: the input per (mode,
-    register contents) and the goal check per (mode, delivered cell).  Both
-    are pure functions of those keys, and a deterministic controller soon
-    revisits the same keys, so the BDDs are asked once per distinct key.
+    Every pure per-step call is memoised per loop, since a deterministic
+    controller soon revisits the same situations: the controller's input
+    per (mode, register contents), its goal check per (mode, delivered
+    cell), the cell of a state, the center of an input cell and the plant
+    step per (state, applied input).  A float vector is keyed on its bits
+    (`_bits`), because 0.0 and -0.0 are equal keys of a dict but print
+    apart.  A call that raises stores nothing, so it raises again.
     """
 
     def __init__(self, plant, controller, x0, u0=None, seed=0,
@@ -195,17 +240,37 @@ class ClosedLoop:
         self._output_hist = deque(maxlen=self.c)
         self._picks = {}
         self._goal_hits = {}
+        self._symbols = {}          # bits of x -> cell index vector
+        self._centers = {}          # input index vector -> (center, bits)
+        self._successors = {}       # bits of x + bits of applied -> next x
 
-        x0_sym = self.state_grid.point_to_symbol(self.x)
+        x0_sym = self._symbol(self.x)
         self._init_mode_and_u0(x0_sym, u0)
         # preload the actuation channel: the hold applies the
         # initialization input until the first real output arrives
         for age in range(self.c, 0, -1):
             self.ca.send(self.u0_idx, -age)
             self._output_hist.appendleft(self.u0_idx)
-        self.zoh = self.input_grid.center(self.u0_idx)
+        self.zoh, self._zoh_key = self._center(self.u0_idx)
 
     # ------------------------------------------------------------------
+
+    def _symbol(self, x, key=None):
+        """Cell index vector of state x, whose `_bits` are `key`."""
+        if key is None:
+            key = _bits(x)
+        sym = self._symbols.get(key)
+        if sym is None:
+            sym = self._symbols[key] = self.state_grid.point_to_symbol(x)
+        return sym
+
+    def _center(self, idx):
+        """Center of input cell idx and its `_bits`."""
+        u = self._centers.get(idx)
+        if u is None:
+            center = self.input_grid.center(idx)
+            u = self._centers[idx] = (center, _bits(center))
+        return u
 
     def _assignment(self, x_sym):
         """Expanded-state assignment with x_sym as the newest sample."""
@@ -247,7 +312,8 @@ class ClosedLoop:
     def step(self):
         """Advance one sampling period; returns the StepRecord."""
         k = self.k
-        x_sym = self.state_grid.point_to_symbol(self.x)
+        x_key = _bits(self.x)
+        x_sym = self._symbol(self.x, x_key)
 
         self.sc.send(x_sym, k)
         arrivals = self.sc.deliver(k)
@@ -262,10 +328,16 @@ class ClosedLoop:
         self.ca.send(chosen, k)
         u_arrivals = self.ca.deliver(k)
         if u_arrivals:
-            self.zoh = self.input_grid.center(u_arrivals[-1])
+            self.zoh, self._zoh_key = self._center(u_arrivals[-1])
 
         applied = self.zoh
-        x_next = integrate(self.plant, self.x, applied)
+        # x_key has the grid's length, so the concatenation is unambiguous
+        step_key = x_key + self._zoh_key
+        x_next = self._successors.get(step_key)
+        if x_next is None:
+            # the module's name, looked up per call, so a patched one runs
+            x_next = self._successors[step_key] = integrate(
+                self.plant, self.x, applied)
         record = StepRecord(k=k, x=self.x, delivered=delivered, chosen=chosen,
                             applied=applied, mode=self.mode)
 
@@ -289,7 +361,7 @@ class ClosedLoop:
             return
         nxt = mode.next_mode
         try:
-            next_sym = self.state_grid.point_to_symbol(x_next)
+            next_sym = self._symbol(x_next)
         except OutOfDomainError:
             return
         # the question step k + 1 asks in the new mode, so a hit there
@@ -331,22 +403,42 @@ class ClosedLoop:
 
 def export_trace(trace, path):
     """Write a trace as JSON when `path` ends in .json, as CSV (columns of
-    Trace.columns) otherwise.
+    Trace.columns) otherwise; returns how many distinct records
+    (`_record_key`) it rendered.
 
     The JSON text is exactly what ``json.dump(payload, fh, indent=1)``
     writes for the payload ``{"meta": ..., "records": [...]}``.  It is
     filled into a fixed template per record instead, because with
-    ``indent`` the ``json`` module runs its pure-Python encoder.
+    ``indent`` the ``json`` module runs its pure-Python encoder.  The CSV
+    text is what ``csv.writer`` writes for the rows of `Trace.values`.
+    Either format renders a record's text after k once per distinct
+    `_record_key`, and the records that repeat it reuse that text.
     """
     if str(path).endswith(".json"):
-        text = _json_text(trace)
+        text, distinct = _json_text(trace)
         with open(path, "w") as fh:
             fh.write(text)
     else:
+        text, distinct = _csv_text(trace)
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)    # a float's str is its repr
-            w.writerow(trace.columns())
-            w.writerows(trace.values())
+            fh.write(text)
+    return distinct
+
+
+def _csv_line(values):
+    """One row as csv.writer writes it; a float's str is its repr."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(values)
+    return buf.getvalue()
+
+
+def _csv_text(trace):
+    lines, distinct = _per_distinct(
+        trace.records, lambda r: _csv_line(trace._tail(r)))
+    # csv.writer writes an int k as its str
+    return (_csv_line(trace.columns())
+            + "".join([f"{r.k},{line}"
+                       for r, line in zip(trace.records, lines)]), distinct)
 
 
 # json's own spellings of the floats that float.__repr__ writes otherwise
@@ -374,21 +466,26 @@ def _json_vector(v):
     return "[\n    " + ",\n    ".join(map(_json_scalar, v)) + "\n   ]"
 
 
-_JSON_RECORD = ('{\n   "k": %s,\n   "x": %s,\n   "delivered": %s,'
-                '\n   "chosen": %s,\n   "applied": %s,\n   "mode": %s\n  }')
+_JSON_TAIL = (',\n   "x": %s,\n   "delivered": %s,\n   "chosen": %s,'
+              '\n   "applied": %s,\n   "mode": %s\n  }')
+
+
+def _json_tail(r):
+    """A record's text after its k."""
+    return _JSON_TAIL % (_json_vector(r.x), _json_vector(r.delivered),
+                         _json_vector(r.chosen), _json_vector(r.applied),
+                         _json_scalar(r.mode))
 
 
 def _json_text(trace):
     head = json.dumps({"meta": trace.meta}, indent=1)[:-2]     # drop "\n}"
     if not trace.records:
-        return head + ',\n "records": []\n}'
-    records = [_JSON_RECORD % (_json_scalar(r.k), _json_vector(r.x),
-                               _json_vector(r.delivered),
-                               _json_vector(r.chosen),
-                               _json_vector(r.applied), _json_scalar(r.mode))
-               for r in trace.records]
+        return head + ',\n "records": []\n}', 0
+    tails, distinct = _per_distinct(trace.records, _json_tail)
+    records = ['{\n   "k": ' + _json_scalar(r.k) + tail
+               for r, tail in zip(trace.records, tails)]
     return (head + ',\n "records": [\n  ' + ",\n  ".join(records)
-            + "\n ]\n}")
+            + "\n ]\n}"), distinct
 
 
 def load_trace_csv(path):

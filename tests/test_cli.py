@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +156,17 @@ class TestConfigValidation:
         ("plant.params", [1]),
         ("sim.seed", [1]),
         ("report_reachable", "no"),
+        ("sim.x0", [9]),
+        ("sim.x0", [-0.6]),
+        ("sim.x0", [0, 1]),
+        ("sim.u0", [7]),
+        ("sim.u0", [0, 1]),
+        ("sim.steps", -3),
+        ("sim.steps", 0),
+        ("sim.steps", True),
+        ("sim.steps", 2.5),
+        ("codegen.name", "module"),
+        ("codegen.name", "uwire"),
     ])
     def test_bad_value_refused_before_any_stage(self, tmp_path, capsys,
                                                 key, value):
@@ -166,6 +178,15 @@ class TestConfigValidation:
         assert err.startswith(f"error: {key}: ") and "Traceback" not in err
         assert not (out / "plant.bdd").exists()
         assert not list(tmp_path.glob("escaped.*"))
+
+    def test_edge_points_and_keyword_case_accepted(self, tmp_path):
+        # the toy's cells span [-0.5, 3.5] and its input cells [-0.5, 1.5];
+        # Verilog keywords are lower case
+        cfg = RunConfig.from_file(toy_config(tmp_path, **{
+            "sim.x0": [3.5], "sim.u0": [-0.5], "sim.steps": 1,
+            "codegen.name": "Module"}))
+        assert cfg.sim.x0 == (3.5,) and cfg.sim.u0 == (-0.5,)
+        assert cfg.codegen.name == "Module"
 
     def test_recurrence_refuses_safe_boxes(self, tmp_path, capsys):
         # solve_recurrence takes no safe set: the boxes would be ignored
@@ -212,6 +233,19 @@ class TestToyPipeline:
         assert records[-1]["x"] == [4.0]
         assert all(r["x"] != [4.0] for r in records[:-1])
         assert len(records) < 40
+
+    def test_sim_manifest_counts_distinct_records(self, tmp_path):
+        cfgp = gen_buchi_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgp), "--out", str(out)]) == 0
+        sizes = json.loads((out / "sim.manifest.json").read_text())["sizes"]
+        records = load_trace_json(out / "trace.json").records
+        distinct = {(struct.pack(f"{len(r.x)}d", *r.x), r.delivered,
+                     r.chosen, struct.pack(f"{len(r.applied)}d", *r.applied),
+                     r.mode) for r in records}
+        assert sizes["distinct_records"] == len(distinct)
+        # the two-mode loop shuttles between the ends and repeats itself
+        assert len(distinct) < len(records) == sizes["steps"]
 
     def test_trace_files_match_library_writers(self, tmp_path):
         cfgp = toy_config(tmp_path)

@@ -1,6 +1,7 @@
 import math
 import random
 import tempfile
+from array import array
 from collections import deque
 from pathlib import Path
 
@@ -12,10 +13,10 @@ from ncsynth.abstraction import build_abstraction
 from ncsynth.bdd import Manager
 from ncsynth.grid import UniformGrid
 from ncsynth.ncs import DelayBounds, expand, expand_spec_set
-from ncsynth.plants import EXACT, PlantSpec, robot
+from ncsynth.plants import EXACT, PlantSpec, integrate, robot
 from ncsynth.simulate import (ClosedLoop, DelayChannel, DomainViolation,
-                              StepRecord, Trace, export_trace, load_trace_csv,
-                              load_trace_json)
+                              StepRecord, Trace, _bits, export_trace,
+                              load_trace_csv, load_trace_json)
 from ncsynth.synthesis import solve_reach, solve_safety
 
 
@@ -287,6 +288,18 @@ def loop_registers(model, trace, x_end):
     return regs
 
 
+def float_bits(v):
+    return array("d", v).tobytes()
+
+
+def signed_line_plant():
+    """The line plant's step x + u, computed as -(-x - u): the same values,
+    but 1 - 1 gives -0.0, and each zero stays itself under input 0."""
+    return PlantSpec(name="signed", dim=1, input_dim=1,
+                     rhs=lambda x, u: u, tau=1.0, growth=EXACT,
+                     exact_step=lambda x, u, tau: (-(-x[0] - u[0] * tau),))
+
+
 class TestMemoisedDecisions:
     """Long closed loops against the unmemoised controller questions."""
 
@@ -356,6 +369,22 @@ class TestMemoisedDecisions:
         assert n_restricts == len(goals)
         # the loop settles into a cycle, so keys repeat many times over
         assert len(keys) < self.STEPS // 4
+
+    def test_successors_match_integrate_bit_for_bit(self, buchi_line):
+        _, _, c = buchi_line
+        plant = signed_line_plant()
+        loop = ClosedLoop(plant, c, x0=(0.0,))
+        trace = loop.run(self.STEPS)
+        xs = [r.x for r in trace.records] + [loop.x]
+        for k, r in enumerate(trace.records):
+            assert (float_bits(xs[k + 1])
+                    == float_bits(integrate(plant, r.x, r.applied))), k
+        # both zeros meet the same held input, where a step memo keyed on
+        # == hands one of them the other's successor
+        zeros = {(float_bits(r.x), r.applied) for r in trace.records
+                 if r.x == (0.0,)}
+        assert {(float_bits((0.0,)), (0.0,)),
+                (float_bits((-0.0,)), (0.0,))} <= zeros
 
 
 class TestOneStepDelayEquivalence:
@@ -494,6 +523,34 @@ def traces(draw):
     return Trace(records=records, meta=meta)
 
 
+@st.composite
+def vector_pairs(draw):
+    """A float vector and a copy of it with one entry negated, one entry
+    redrawn, or nothing changed."""
+    a = draw(st.lists(trace_floats, max_size=4))
+    b = list(a)
+    if b:
+        i = draw(st.integers(0, len(b) - 1))
+        change = draw(st.sampled_from(["none", "negate", "redraw"]))
+        if change == "negate":
+            b[i] = -b[i]
+        elif change == "redraw":
+            b[i] = draw(trace_floats)
+    return a, b
+
+
+class TestBitKey:
+    """The closed loop's memos key a float vector on its bits."""
+
+    @given(vector_pairs())
+    @example(([0.0], [-0.0]))
+    @example(([math.nan, 1.0], [math.nan, 1.0]))
+    def test_key_separates_vectors_whose_bits_differ(self, pair):
+        a, b = pair
+        assert ((_bits(tuple(a)) == _bits(tuple(b)))
+                == (float_bits(a) == float_bits(b)))
+
+
 class TestWritersAgainstLibrary:
     """export_trace writes what json.dump(..., indent=1) and csv.DictWriter
     write for the same trace."""
@@ -502,6 +559,15 @@ class TestWritersAgainstLibrary:
     @given(traces())
     @example(Trace(records=[], meta={"plant": "empty", "state_npoints": [3],
                                      "input_npoints": [2, 2]}))
+    @example(Trace(  # equal (==) records that print apart, then NaNs
+        records=[StepRecord(k=k, x=(z, 1.0), delivered=(0, 1), chosen=(1,),
+                            applied=(-z,), mode=0)
+                 for k, z in enumerate([0.0, -0.0, 0.0, -0.0])]
+        + [StepRecord(k=k, x=(float("nan"), -0.0), delivered=None,
+                      chosen=None, applied=(float("nan"),), mode=1)
+           for k in (4, 5)],
+        meta={"plant": "zeros", "state_npoints": [2, 2],
+              "input_npoints": [2]}))
     def test_bytes_equal_library_rendering(self, trace):
         with tempfile.TemporaryDirectory() as d:
             export_trace(trace, Path(d) / "t.json")
