@@ -12,19 +12,58 @@ bits with pre and post interleaved per bit (pre_j, post_j adjacent).
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
+from functools import cached_property
 
 from .bdd import Bdd, Manager
-from .grid import SymbolicSet
+from .grid import SymbolicSet, slot_blocks
 from .plants import growth_radius, integrate
 
 _FUZZ = 1e-9
 
 
-@dataclass
-class TransitionSystem:
+class SymbolicModel:
+    """The members that the plant model and the expanded model derive alike
+    from their mgr, trans, pre_vars, input_vars, post_vars, pre_to_post,
+    state_domain and input_domain.
+
+    The game predicates are computed from `trans` once, on first use, so
+    a model's relation must not change once it is built.
+    """
+
+    @property
+    def all_vars(self):
+        return tuple(sorted(self.pre_vars + self.input_vars + self.post_vars))
+
+    def n_transitions(self):
+        return self.mgr.sat_count(self.trans, self.all_vars)
+
+    def post_image(self, states):
+        """Successors of a set of state-input pairs (or of states, every
+        input allowed), over the pre-state variables."""
+        quant = tuple(sorted(self.pre_vars + self.input_vars))
+        back = {b: a for a, b in self.pre_to_post.items()}
+        return self.mgr.exist_and(self.trans, states, quant).rename(back)
+
+    @cached_property
+    def valid_pairs(self):
+        """Pairs of a valid state and a valid input."""
+        return self.state_domain & self.input_domain
+
+    @cached_property
+    def nonblocking(self):
+        """State-input pairs with at least one successor."""
+        return self.trans.exists(self.post_vars)
+
+    @cached_property
+    def not_trans(self):
+        return ~self.trans
+
+
+@dataclasses.dataclass
+class TransitionSystem(SymbolicModel):
     """Symbolic system (states, initial states, inputs, transitions).
 
     It shares its model protocol with the expanded model (`NcsModel`):
@@ -32,7 +71,7 @@ class TransitionSystem:
     measurement, here the state itself), input_set (the controller
     output), bounds (None: no delay channels), state_registers (the
     state, one register "x"), state_columns, encode_state, encode_row and
-    decode_row.
+    decode_row; the members derived from these come from `SymbolicModel`.
     """
 
     bounds = None
@@ -63,21 +102,13 @@ class TransitionSystem:
         self.state_columns = tuple((f"x{d}", n) for d, n
                                    in enumerate(self.state_grid.npoints))
 
-    @property
-    def all_vars(self):
-        return tuple(sorted(self.pre_vars + self.input_vars + self.post_vars))
-
-    def n_transitions(self):
-        return self.mgr.sat_count(self.trans, self.all_vars)
-
     def n_states(self):
         return self.pre_set.grid.size()
 
     def is_deterministic(self):
         """True iff every (pre, input) with a successor has exactly one."""
-        pairs = self.trans.exists(self.post_vars)
-        total = self.n_transitions()
-        return total == self.mgr.sat_count(pairs, tuple(sorted(self.pre_vars + self.input_vars)))
+        return self.n_transitions() == self.mgr.sat_count(
+            self.nonblocking, tuple(sorted(self.pre_vars + self.input_vars)))
 
     def transitions(self):
         """Iterate (pre index vector, input index vector, post index vector)."""
@@ -118,22 +149,17 @@ def plant_system(mgr, state_grid, input_grid, ids, trans, tau, name):
 
 
 def allocate_layout(mgr, state_grid, input_grid):
-    """Reserve variables: input block, then interleaved pre/post state bits."""
-    ib = input_grid.total_bits
-    sb = state_grid.total_bits
-    base = mgr.var_count
-    mgr.add_vars(ib + 2 * sb)
-    input_ids, off = [], base
-    for nbits in input_grid.bits:
-        input_ids.append(tuple(range(off, off + nbits)))
-        off += nbits
-    pre_ids, post_ids = [], []
-    bit = 0
-    for nbits in state_grid.bits:
-        pre_ids.append(tuple(base + ib + 2 * (bit + j) for j in range(nbits)))
-        post_ids.append(tuple(base + ib + 2 * (bit + j) + 1 for j in range(nbits)))
-        bit += nbits
-    return input_ids, pre_ids, post_ids
+    """Reserve variables: input block, then interleaved pre/post state bits.
+    Returns the per-dimension variable ids of the input, pre and post
+    sets."""
+    blocks, end = slot_blocks(
+        [("input",), ("pre", "post")],
+        lambda key: (input_grid if key == "input" else state_grid).total_bits,
+        mgr.var_count)
+    mgr.add_vars(end - mgr.var_count)
+    return tuple(list(grid.fields(blocks[key])) for grid, key in
+                 ((input_grid, "input"), (state_grid, "pre"),
+                  (state_grid, "post")))
 
 
 def _post_cell_ranges(grid, center, radius):
@@ -198,8 +224,7 @@ def build_abstraction(spec, state_grid, input_grid):
             for post_idx in itertools.product(*(range(a, b + 1)
                                                 for a, b in ranges)):
                 codes.append(head | post_codes[post_idx])
-    ts.trans = mgr.from_minterms(support, codes)
-    return ts
+    return dataclasses.replace(ts, trans=mgr.from_minterms(support, codes))
 
 
 def remove_region(ts, region):
@@ -210,8 +235,4 @@ def remove_region(ts, region):
     if region.var_ids != ts.pre_set.var_ids:
         raise ValueError("region must use the system's pre variables")
     mask_post = mask_pre.rename(ts.pre_to_post)
-    trans = ts.trans & ~mask_pre & ~mask_post
-    return TransitionSystem(mgr=ts.mgr, pre_set=ts.pre_set,
-                            input_set=ts.input_set, post_set=ts.post_set,
-                            trans=trans, initial=ts.initial,
-                            tau=ts.tau, name=ts.name)
+    return dataclasses.replace(ts, trans=ts.trans & ~mask_pre & ~mask_post)

@@ -22,9 +22,10 @@ def _require(d, key, kind, where):
     if key not in d:
         raise ConfigError(f"{where}: missing required key {key!r}")
     v = d[key]
-    if kind is float and isinstance(v, (int, float)):
+    if kind is float and type(v) in (int, float):
         v = _finite(v, f"{where}.{key}")
-    if not isinstance(v, kind):
+    # a JSON boolean is a Python int, but no key takes one here
+    if type(v) is bool or not isinstance(v, kind):
         raise ConfigError(f"{where}.{key}: expected {kind.__name__}, "
                           f"got {type(v).__name__}")
     return v
@@ -50,7 +51,7 @@ def _vector(d, key, where, optional=False):
         raise ConfigError(f"{where}: missing required key {key!r}")
     v = d[key]
     if (not isinstance(v, list) or not v
-            or not all(isinstance(x, (int, float)) for x in v)):
+            or not all(type(x) in (int, float) for x in v)):
         raise ConfigError(f"{where}.{key}: expected a nonempty number list")
     return tuple(_finite(x, f"{where}.{key}") for x in v)
 

@@ -171,6 +171,24 @@ def read_code(assignment, block):
     return code
 
 
+def slot_blocks(slots, width, start=0):
+    """Variable blocks of a slot order, numbered from `start`.
+
+    `slots` lists groups of block keys, top first; a group's blocks, each
+    `width(first key)` bits wide, share one contiguous slot with their
+    bits interleaved (bit 0 of each block, then bit 1, ...).  Returns
+    ({key: tuple of variable ids}, the next free id).
+    """
+    blocks = {}
+    for group in slots:
+        n = len(group)
+        end = start + n * width(group[0])
+        for i, key in enumerate(group):
+            blocks[key] = tuple(range(start + i, end, n))
+        start = end
+    return blocks, start
+
+
 def _bit_reverse(value, width):
     out = 0
     for _ in range(width):

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .bddfile import load
 from .grid import write_code
-from .ncs import post_image
 
 
 def _columns(model):
@@ -165,7 +164,7 @@ def explore_model(model, state, input_sequence):
 
     out = []
     for u in steps:
-        img = post_image(model, cur & model.input_set.cell_cube(u))
+        img = model.post_image(cur & model.input_set.cell_cube(u))
         out.append({model.decode_row(dict(zip(model.pre_vars, bits)), "pre")
                     for bits in mgr.cubes(img, model.pre_vars)})
         cur = img

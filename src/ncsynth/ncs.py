@@ -22,7 +22,8 @@ import warnings
 from dataclasses import dataclass
 
 from .bdd import Bdd, Manager
-from .grid import SymbolicSet, dim_interval, read_code, write_code
+from .abstraction import SymbolicModel
+from .grid import SymbolicSet, dim_interval, read_code, slot_blocks, write_code
 
 
 @dataclass(frozen=True)
@@ -129,21 +130,12 @@ class NcsLayout:
                   + _shift_groups("dsc", s) + _shift_groups("dca", c))
         width = {"label": ib, "u": ib, "x": sbq,
                  "dsc": self.sc_bits, "dca": self.ca_bits}
-        blocks = {}
-        v = 0
-        for group in groups:
-            for key in group:
-                blocks[key] = []
-            for _ in range(width[group[0][0]]):
-                for key in group:
-                    blocks[key].append(v)
-                    v += 1
-        self.var_count = v
+        blocks, self.var_count = slot_blocks(groups, lambda key: width[key[0]])
 
         def regs(name, which, n):
-            return tuple(tuple(blocks[name, which, i]) for i in range(n))
+            return tuple(blocks[name, which, i] for i in range(n))
 
-        self.label = tuple(blocks["label", "pre", 0])
+        self.label = blocks["label", "pre", 0]
         self.u_pre, self.u_post = regs("u", "pre", c), regs("u", "post", c)
         self.x_pre, self.x_post = regs("x", "pre", s), regs("x", "post", s)
         self.dsc_pre, self.dsc_post = regs("dsc", "pre", s), regs("dsc", "post", s)
@@ -188,7 +180,7 @@ class NcsLayout:
 
 
 @dataclass
-class NcsModel:
+class NcsModel(SymbolicModel):
     """Expanded model over a layout.
 
     It shares its model protocol with the plant model
@@ -196,7 +188,7 @@ class NcsModel:
     the newest state register, which goals and spec sets anchor on),
     input_set (the controller output, i.e. the label), bounds,
     state_registers, state_columns, encode_state, encode_row and
-    decode_row.
+    decode_row; the members derived from these come from `SymbolicModel`.
     """
 
     mgr: Manager
@@ -231,10 +223,6 @@ class NcsModel:
             + [(f"dsc{r + 1}", b.nsc_max + 1) for r in range(lay.s)]
             + [(f"dca{r + 1}", b.nca_max + 1) for r in range(lay.c)])
 
-    @property
-    def all_vars(self):
-        return tuple(sorted(self.pre_vars + self.input_vars + self.post_vars))
-
     def state_count(self):
         """Size of the expanded state set by the defining product formula."""
         b = self.bounds
@@ -245,9 +233,6 @@ class NcsModel:
 
     def n_states_symbolic(self):
         return self.mgr.sat_count(self.state_domain, self.pre_vars)
-
-    def n_transitions(self):
-        return self.mgr.sat_count(self.trans, self.all_vars)
 
     def n_initial(self):
         return self.mgr.sat_count(self.initial, self.pre_vars)
@@ -384,11 +369,7 @@ def expand(base, bounds, input_selector=None):
 
     lay = NcsLayout(bounds, base.pre_set.grid, base.input_set.grid)
     mgr = Manager(var_count=lay.var_count)
-    model = _assemble(mgr, lay, bounds, base, input_selector)
-    model.base_name = base.name
-    model.tau = base.tau
-    model.base_deterministic = base_det
-    return model
+    return _assemble(mgr, lay, bounds, base, input_selector, base_det)
 
 
 def _base_import_map(base, lay, applied_reg):
@@ -399,7 +380,7 @@ def _base_import_map(base, lay, applied_reg):
     return {v: t for sset, block in pairs for v, t in zip(sset.block, block)}
 
 
-def _assemble(mgr, lay, bounds, base, input_selector):
+def _assemble(mgr, lay, bounds, base, input_selector, base_det):
     s, c = lay.s, lay.c
 
     def base_step(applied_reg):
@@ -462,7 +443,8 @@ def _assemble(mgr, lay, bounds, base, input_selector):
         init = init & mgr.cube(write_code({}, reg, bounds.ca_range - 1))
 
     return NcsModel(mgr=mgr, layout=lay, bounds=bounds, trans=rel, initial=init,
-                    base_name=base.name, tau=base.tau)
+                    base_name=base.name, tau=base.tau,
+                    base_deterministic=base_det)
 
 
 def expand_spec_set(sset, model, anchor="newest"):
@@ -478,19 +460,11 @@ def expand_spec_set(sset, model, anchor="newest"):
     return lifted & _reg_is_state(model.mgr, lay, block) & model.state_domain
 
 
-def post_image(model, states):
-    """Successors of a set of state-input pairs (or of states, every input
-    allowed), over the pre-state variables."""
-    quant = tuple(sorted(model.pre_vars + model.input_vars))
-    back = {b: a for a, b in model.pre_to_post.items()}
-    return model.mgr.exist_and(model.trans, states, quant).rename(back)
-
-
 def reachable(model):
     """Least fixed point of the forward image from the initial states."""
     r = model.initial
     while True:
-        nxt = r | post_image(model, r)
+        nxt = r | model.post_image(r)
         if nxt == r:
             return r
         r = nxt

@@ -313,7 +313,11 @@ class ClosedLoop:
         """Advance one sampling period; returns the StepRecord."""
         k = self.k
         x_key = _bits(self.x)
-        x_sym = self._symbol(self.x, x_key)
+        try:
+            x_sym = self._symbol(self.x, x_key)
+        except OutOfDomainError as exc:
+            raise DomainViolation(f"step {k}: the plant state {self.x} left "
+                                  f"the state grid ({exc})") from None
 
         self.sc.send(x_sym, k)
         arrivals = self.sc.deliver(k)

@@ -1,11 +1,12 @@
 """Fixed-point synthesis of symbolic controllers.
 
 All solvers work over any model exposing the symbolic-game protocol
-(trans, pre_vars / input_vars / post_vars, pre_to_post, state_domain,
-input_domain), so the same code serves plant models and expanded
-networked models.  Winning sets are sets of state-input pairs; the
-controllable predecessor keeps a pair iff it has at least one successor
-and every successor stays inside the projection of the current set.
+(pre_vars / input_vars / post_vars, pre_to_post, and the game predicates
+valid_pairs, nonblocking and not_trans of `abstraction.SymbolicModel`),
+so the same code serves plant models and expanded networked models.
+Winning sets are sets of state-input pairs; the controllable predecessor
+keeps a pair iff it has at least one successor and every successor stays
+inside the projection of the current set.
 """
 
 from __future__ import annotations
@@ -105,30 +106,6 @@ def _min_code(a, b):
     return min(a, b)
 
 
-def _valid_pairs(model):
-    cached = getattr(model, "_valid_pairs", None)
-    if cached is None:
-        cached = model.state_domain & model.input_domain
-        model._valid_pairs = cached
-    return cached
-
-
-def _nonblocking(model):
-    cached = getattr(model, "_nonblocking", None)
-    if cached is None:
-        cached = model.trans.exists(model.post_vars)
-        model._nonblocking = cached
-    return cached
-
-
-def _not_trans(model):
-    cached = getattr(model, "_not_trans", None)
-    if cached is None:
-        cached = ~model.trans
-        model._not_trans = cached
-    return cached
-
-
 def cpre(model, Z, allowed=None):
     """Controllable predecessor of a set of state-input pairs, within
     `allowed` (a subset of the nonblocking pairs, all of them by default).
@@ -138,18 +115,18 @@ def cpre(model, Z, allowed=None):
     relational product, so no function that changes per call is negated.
     """
     proj_post = Z.exists(model.input_vars).rename(model.pre_to_post)
-    closed = model.mgr.forall_or(_not_trans(model), proj_post, model.post_vars)
-    return (_nonblocking(model) if allowed is None else allowed) & closed
+    closed = model.mgr.forall_or(model.not_trans, proj_post, model.post_vars)
+    return (model.nonblocking if allowed is None else allowed) & closed
 
 
 def _pairs(model, states):
-    return states & _valid_pairs(model)
+    return states & model.valid_pairs
 
 
 def solve_safety(model, safe):
     """Greatest fixed point: stay inside `safe` forever."""
     constraint = _pairs(model, safe)
-    allowed = _nonblocking(model) & constraint
+    allowed = model.nonblocking & constraint
     Z = constraint
     iterations = 0
     while True:
@@ -167,7 +144,7 @@ def _reach_fixpoint(model, target_pairs, within=None, collect=True):
     """Least fixed point of target_pairs | cpre(Z), optionally constrained
     to `within` pairs at every step.  Returns (winning pairs, first-entry
     relation, iterations)."""
-    allowed = _nonblocking(model)
+    allowed = model.nonblocking
     Z = target_pairs
     if within is not None:
         allowed = allowed & within
@@ -205,7 +182,7 @@ def solve_persistence(model, safe):
     layers whose inner greatest fixed point allows lingering inside safe
     as long as the layer below stays available."""
     safe_pairs = _pairs(model, safe)
-    all_pairs = _valid_pairs(model)
+    all_pairs = model.valid_pairs
     Z = model.mgr.false
     relation = model.mgr.false
     domain = model.mgr.false
@@ -237,7 +214,7 @@ def solve_recurrence(model, target):
     return.  The controller is the reach strategy toward the final
     re-entry pairs."""
     target_pairs = _pairs(model, target)
-    Y = _valid_pairs(model)
+    Y = model.valid_pairs
     outer = inner_total = 0
     while True:
         reentry = target_pairs & cpre(model, Y)
@@ -269,7 +246,7 @@ def solve_gen_buchi(model, targets, safe=None):
         raise SynthesisError("at least one target is required")
     mgr = model.mgr
     m = len(targets)
-    safe_pairs = _pairs(model, safe) if safe is not None else _valid_pairs(model)
+    safe_pairs = _pairs(model, safe) if safe is not None else model.valid_pairs
     domains = [safe_pairs.exists(model.input_vars) for _ in range(m)]
     outer = 0
 

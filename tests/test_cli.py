@@ -167,6 +167,9 @@ class TestConfigValidation:
         ("sim.steps", 2.5),
         ("codegen.name", "module"),
         ("codegen.name", "uwire"),
+        ("delays.nsc_min", True),
+        ("sim.seed", True),
+        ("sim.x0", [True]),
     ])
     def test_bad_value_refused_before_any_stage(self, tmp_path, capsys,
                                                 key, value):

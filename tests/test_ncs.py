@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ncsynth.abstraction import allocate_layout
 from ncsynth.bdd import Manager
 from ncsynth.grid import SymbolicSet, UniformGrid
 from ncsynth.ncs import (DelayBounds, NcsLayout, NcsModel, expand,
@@ -33,6 +34,45 @@ class TestDelayBounds:
             DelayBounds(2, 1, 1, 1)
         assert DelayBounds(2, 2, 2, 2).prolonged
         assert not DelayBounds(1, 2, 2, 2).prolonged
+
+
+class TestVariableIds:
+    """Exact variable ids of both layouts, as README's "Variable order"
+    and the abstraction module describe them."""
+
+    def test_plant_layout(self):
+        # state bits (2, 3), input bits (1, 2); two variables already exist
+        state = UniformGrid(lb=(0.0, 0.0), ub=(2.0, 4.0), eta=(1.0, 1.0))
+        inputs = UniformGrid(lb=(0.0, 0.0), ub=(1.0, 2.0), eta=(1.0, 1.0))
+        mgr = Manager(var_count=2)
+        input_ids, pre_ids, post_ids = allocate_layout(mgr, state, inputs)
+        # the input block, then each state bit's pre and post side by side
+        assert [tuple(ids) for ids in input_ids] == [(2,), (3, 4)]
+        assert [tuple(ids) for ids in pre_ids] == [(5, 7), (9, 11, 13)]
+        assert [tuple(ids) for ids in post_ids] == [(6, 8), (10, 12, 14)]
+        assert mgr.var_count == 15
+
+    @pytest.mark.parametrize("bounds, delay_regs", [
+        ((2, 2, 2, 2), (((), ()),) * 4),
+        ((1, 2, 1, 2), (((19,), (21,)), ((18,), (20,)),
+                        ((23,), (25,)), ((22,), (24,)))),
+    ])
+    def test_ncs_layout(self, bounds, delay_regs):
+        # three cells and three inputs: two bits each, marker code 3
+        state = UniformGrid(lb=(0.0,), ub=(2.0,), eta=(1.0,))
+        inputs = UniformGrid(lb=(-1.0,), ub=(1.0,), eta=(1.0,))
+        lay = NcsLayout(DelayBounds(*bounds), state, inputs)
+        # slots from the top: (label, u1'), (u1, u2'), u2,
+        # (x1, x1', x2'), x2, then the delay registers slotted alike
+        assert lay.label == (0, 2)
+        assert lay.u_post == ((1, 3), (5, 7))
+        assert lay.u_pre == ((4, 6), (8, 9))
+        assert lay.x_pre == ((10, 13), (16, 17))
+        assert lay.x_post == ((11, 14), (12, 15))
+        assert (lay.dsc_pre, lay.dsc_post, lay.dca_pre,
+                lay.dca_post) == delay_regs
+        assert lay.var_count == 18 + sum(len(r) for regs in delay_regs
+                                         for r in regs)
 
 
 class TestMarkerEncoding:

@@ -185,6 +185,18 @@ class TestClosedLoopNetworked:
         with pytest.raises(DomainViolation):
             ClosedLoop(plant, tight, x0=(0.0,))
 
+    def test_plant_leaving_the_grid_is_a_domain_violation(self):
+        plant, ts, model = line_setup()
+        c = self.controller(model, ts, 6.0, 8.0)
+        # the controller was made for a plant that moves at most 1 a period
+        fast = PlantSpec(name="fast", dim=1, input_dim=1,
+                         rhs=lambda x, u: (5.0,), tau=1.0, growth=EXACT,
+                         exact_step=lambda x, u, tau: (x[0] + 5.0,))
+        loop = ClosedLoop(fast, c, x0=(2.0,), u0=(0.0,))
+        with pytest.raises(DomainViolation,
+                           match=r"step 2: the plant state \(12\.0,\) left"):
+            loop.run(5)
+
     def test_random_mode_needs_unsafe_flag(self):
         plant, ts, model = line_setup()
         c = self.controller(model, ts, 6.0, 8.0)
