@@ -221,10 +221,6 @@ def cmd_sim(cfg, out_dir, unsafe=False, seed=None):
     plant = _plant(cfg)
     if not cfg.sim.x0:
         raise UsageError("sim.x0 is required for simulation")
-    if cfg.sim.channel_mode == "random" and not unsafe:
-        raise UsageError(
-            "random-delay channels void the prolonged-delay refinement "
-            "guarantee; pass --unsafe to simulate anyway")
     loop = ClosedLoop(plant, ctrl, x0=cfg.sim.x0, u0=cfg.sim.u0,
                       seed=cfg.sim.seed if seed is None else seed,
                       channel_mode=cfg.sim.channel_mode, unsafe=unsafe)

@@ -101,12 +101,16 @@ class PlantConfig:
         params = {} if d.get("params") is None else d["params"]
         if not isinstance(params, dict):
             raise ConfigError("plant.params: expected an object")
-        # tau comes from plant.tau
-        known = set(inspect.signature(_BUILDERS[name]).parameters) - {"tau"}
-        if set(params) - known:
+        # tau comes from plant.tau; a value has the type of the builder's
+        # default, where an int may stand for a float
+        known = dict(inspect.signature(_BUILDERS[name]).parameters)
+        del known["tau"]
+        if params.keys() - known:
             raise ConfigError(f"plant.params: unknown keys "
-                              f"{sorted(set(params) - known)} for plant "
+                              f"{sorted(params.keys() - known)} for plant "
                               f"{name!r}, which takes {sorted(known)}")
+        for key in params:
+            _require(params, key, type(known[key].default), "plant.params")
         return cls(name=name, tau=_require(d, "tau", float, "plant"),
                    grid=_grid(d.get("grid"), "plant.grid"),
                    input_grid=_grid(d.get("input_grid"), "plant.input_grid"),
@@ -118,11 +122,10 @@ def _delays(d):
         raise ConfigError("delays: expected an object")
     vals = {key: _require(d, key, int, "delays")
             for key in ("nsc_min", "nsc_max", "nca_min", "nca_max")}
-    if not (1 <= vals["nsc_min"] <= vals["nsc_max"]):
-        raise ConfigError("delays: need 1 <= nsc_min <= nsc_max")
-    if not (1 <= vals["nca_min"] <= vals["nca_max"]):
-        raise ConfigError("delays: need 1 <= nca_min <= nca_max")
-    return DelayBounds(**vals)
+    try:
+        return DelayBounds(**vals)
+    except ValueError as exc:
+        raise ConfigError(f"delays: {exc}") from None
 
 
 _SPEC_KINDS = ("safety", "reach", "persistence", "recurrence", "gen_buchi")
@@ -271,6 +274,14 @@ class RunConfig:
         plant = PlantConfig.from_dict(d["plant"])
         delays = _delays(d["delays"])
         spec = SpecConfig.from_dict(d["spec"])
+        # a box may miss the grid's cells, but it must fit its dimensions
+        for key in ("targets", "obstacles", "safe"):
+            for i, box in enumerate(getattr(spec, key)):
+                try:
+                    plant.grid.box_index_ranges(*box)
+                except ValueError as exc:
+                    raise ConfigError(f"spec.{key}[{i}]: not a box of "
+                                      f"plant.grid: {exc}") from None
         sim = SimConfig.from_dict(d.get("sim"))
         if sim.x0:
             _in_cells(sim.x0, plant.grid, "sim.x0", "plant.grid")

@@ -40,7 +40,7 @@ class DelayBounds:
             if not (isinstance(lo, int) and isinstance(hi, int)):
                 raise ValueError("delay bounds must be integers")
             if not (1 <= lo <= hi):
-                raise ValueError(f"{name} bounds must satisfy 1 <= min <= max")
+                raise ValueError(f"need 1 <= {name}_min <= {name}_max")
 
     @property
     def prolonged(self):

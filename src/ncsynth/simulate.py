@@ -167,14 +167,10 @@ class Trace:
         return [*r.x, _flat(r.delivered, meta["state_npoints"]),
                 _flat(r.chosen, meta["input_npoints"]), *r.applied, r.mode]
 
-    def values(self):
-        """One value list per record, in the order of `columns`."""
-        return [[r.k, *self._tail(r)] for r in self.records]
-
     def rows(self):
         """Canonical flat rows: one dict per record, keyed by `columns`."""
         cols = self.columns()
-        return [dict(zip(cols, v)) for v in self.values()]
+        return [dict(zip(cols, [r.k, *self._tail(r)])) for r in self.records]
 
 
 def _flat(idx, npoints):
@@ -217,7 +213,7 @@ class ClosedLoop:
             raise ValueError(
                 "random-delay channels void the refinement guarantee, which "
                 "holds for prolonged (buffered, constant-delay) channels "
-                "only; pass unsafe=True to simulate anyway")
+                "only; pass unsafe=True (--unsafe) to simulate anyway")
         self.channel_mode = channel_mode
         self.rng = random.Random(seed)
         self.seed = seed
@@ -236,21 +232,22 @@ class ClosedLoop:
         self.x = tuple(float(v) for v in x0)
         self.k = 0
         self.mode = 0
-        self._sample_hist = deque(maxlen=self.s)
-        self._output_hist = deque(maxlen=self.c)
+        # the registers besides the newest sample, as the `_picks` key holds
+        # them and `encode_state` takes them: x2..xs newest first (None
+        # until sampled) and u1..uc (set with u0_idx)
+        self._older = (None,) * (self.s - 1)
+        self._outputs = ()
         self._picks = {}
         self._goal_hits = {}
         self._symbols = {}          # bits of x -> cell index vector
         self._centers = {}          # input index vector -> (center, bits)
         self._successors = {}       # bits of x + bits of applied -> next x
 
-        x0_sym = self._symbol(self.x)
-        self._init_mode_and_u0(x0_sym, u0)
+        self._init_mode_and_u0(self._symbol(self.x), u0)
         # preload the actuation channel: the hold applies the
         # initialization input until the first real output arrives
         for age in range(self.c, 0, -1):
             self.ca.send(self.u0_idx, -age)
-            self._output_hist.appendleft(self.u0_idx)
         self.zoh, self._zoh_key = self._center(self.u0_idx)
 
     # ------------------------------------------------------------------
@@ -272,24 +269,19 @@ class ClosedLoop:
             u = self._centers[idx] = (center, _bits(center))
         return u
 
-    def _assignment(self, x_sym):
-        """Expanded-state assignment with x_sym as the newest sample."""
-        xs = [x_sym] + list(self._sample_hist)[:self.s - 1]
-        xs += [None] * (self.s - len(xs))
-        return self.model.encode_state(tuple(xs), tuple(self._output_hist))
-
     def _pick(self, mode, x_sym):
         """Input index vector chosen in `mode` with x_sym as the newest
         sample, or None when the mode admits no input there.
 
-        The key holds every input of `_assignment`; the delay registers
-        always take their defaults.
+        The key holds every argument of `encode_state`; the delay
+        registers always take their defaults.
         """
-        key = (mode, x_sym, tuple(self._sample_hist)[:self.s - 1],
-               tuple(self._output_hist))
+        xs = (x_sym,) + self._older
+        key = (mode, xs, self._outputs)
         if key not in self._picks:
             rel = self.controller.mode_relations()[mode]
-            code = self.controller.pick_input(self._assignment(x_sym), rel)
+            code = self.controller.pick_input(
+                self.model.encode_state(xs, self._outputs), rel)
             self._picks[key] = (None if code is None
                                 else self.input_grid.unpack(code))
         return self._picks[key]
@@ -297,10 +289,11 @@ class ClosedLoop:
     def _init_mode_and_u0(self, x0_sym, u0):
         candidates = (list(self.input_grid.indices()) if u0 is None
                       else [self.input_grid.point_to_symbol(tuple(u0))])
-        xs = (x0_sym,) + (None,) * (self.s - 1)
+        xs = (x0_sym,) + self._older
         for mode_idx, rel in enumerate(self.controller.mode_relations()):
             for u in candidates:
-                a = self.model.encode_state(xs, (u,) * self.c)
+                self._outputs = (u,) * self.c
+                a = self.model.encode_state(xs, self._outputs)
                 if self.controller.pick_input(a, rel) is not None:
                     self.mode = mode_idx
                     self.u0_idx = u
@@ -346,8 +339,8 @@ class ClosedLoop:
                             applied=applied, mode=self.mode)
 
         # bookkeeping for the next expanded state
-        self._sample_hist.appendleft(x_sym)
-        self._output_hist.appendleft(chosen)
+        self._older = ((x_sym,) + self._older)[:self.s - 1]
+        self._outputs = ((chosen,) + self._outputs)[:self.c]
 
         if self.controller.modes and delivered is not None:
             self._maybe_switch_mode(delivered, x_next)
@@ -360,7 +353,11 @@ class ClosedLoop:
         mode = self.controller.modes[self.mode]
         key = (self.mode, delivered)
         if key not in self._goal_hits:
-            self._goal_hits[key] = self._eval_on_anchor(mode.goal, delivered)
+            # goal predicates constrain the newest-measurement register and
+            # leave the others free (within the state space), so a hit is
+            # satisfiability after fixing the anchor bits to the cell
+            anchor = self.model.anchor_set.assignment(delivered)
+            self._goal_hits[key] = not mode.goal.restrict(anchor).is_false
         if not self._goal_hits[key]:
             return
         nxt = mode.next_mode
@@ -371,16 +368,6 @@ class ClosedLoop:
         # the question step k + 1 asks in the new mode, so a hit there
         if self._pick(nxt, next_sym) is not None:
             self.mode = nxt
-
-    def _eval_on_anchor(self, predicate, symbol):
-        """Does the measured cell satisfy a goal predicate?
-
-        Goal predicates constrain the newest-measurement register; other
-        registers are free (within the state space), so the check is
-        satisfiability after fixing the anchor bits to the cell.
-        """
-        assignment = self.model.anchor_set.assignment(symbol)
-        return not predicate.restrict(assignment).is_false
 
     def run(self, steps, stop=None):
         """Iterate `step`; the trace is fully determined by config + seed."""
@@ -411,12 +398,11 @@ def export_trace(trace, path):
     (`_record_key`) it rendered.
 
     The JSON text is exactly what ``json.dump(payload, fh, indent=1)``
-    writes for the payload ``{"meta": ..., "records": [...]}``.  It is
-    filled into a fixed template per record instead, because with
-    ``indent`` the ``json`` module runs its pure-Python encoder.  The CSV
-    text is what ``csv.writer`` writes for the rows of `Trace.values`.
+    writes for the payload ``{"meta": ..., "records": [...]}``, and the
+    CSV text what ``csv.writer`` writes for the rows of `Trace.rows`.
     Either format renders a record's text after k once per distinct
-    `_record_key`, and the records that repeat it reuse that text.
+    `_record_key`, by ``json`` or ``csv`` itself, and the records that
+    repeat it reuse that text.
     """
     if str(path).endswith(".json"):
         text, distinct = _json_text(trace)
@@ -445,40 +431,12 @@ def _csv_text(trace):
                        for r, line in zip(trace.records, lines)]), distinct)
 
 
-# json's own spellings of the floats that float.__repr__ writes otherwise
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(v):
-    text = float.__repr__(v)
-    return _JSON_NONFINITE.get(text, text)
-
-
-_JSON_SCALAR = {float: _json_float, int: int.__repr__}
-
-
-def _json_scalar(v):
-    return _JSON_SCALAR.get(type(v), json.dumps)(v)
-
-
-def _json_vector(v):
-    """A record's number list (or None) at its depth in the indent=1 text."""
-    if v is None:
-        return "null"
-    if not v:
-        return "[]"
-    return "[\n    " + ",\n    ".join(map(_json_scalar, v)) + "\n   ]"
-
-
-_JSON_TAIL = (',\n   "x": %s,\n   "delivered": %s,\n   "chosen": %s,'
-              '\n   "applied": %s,\n   "mode": %s\n  }')
-
-
 def _json_tail(r):
-    """A record's text after its k."""
-    return _JSON_TAIL % (_json_vector(r.x), _json_vector(r.delivered),
-                         _json_vector(r.chosen), _json_vector(r.applied),
-                         _json_scalar(r.mode))
+    """A record's text after its k: json's rendering of the other fields,
+    re-indented to a record's depth in the payload."""
+    text = json.dumps({"x": r.x, "delivered": r.delivered, "chosen": r.chosen,
+                       "applied": r.applied, "mode": r.mode}, indent=1)
+    return "," + text[1:].replace("\n", "\n  ")         # drop "{"
 
 
 def _json_text(trace):
@@ -486,7 +444,7 @@ def _json_text(trace):
     if not trace.records:
         return head + ',\n "records": []\n}', 0
     tails, distinct = _per_distinct(trace.records, _json_tail)
-    records = ['{\n   "k": ' + _json_scalar(r.k) + tail
+    records = [f'{{\n   "k": {r.k}{tail}'
                for r, tail in zip(trace.records, tails)]
     return (head + ',\n "records": [\n  ' + ",\n  ".join(records)
             + "\n ]\n}"), distinct

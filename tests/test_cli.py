@@ -170,6 +170,9 @@ class TestConfigValidation:
         ("delays.nsc_min", True),
         ("sim.seed", True),
         ("sim.x0", [True]),
+        ("plant.params.dim", "1"),
+        ("plant.params.dim", True),
+        ("plant.params.dim", 1.5),
     ])
     def test_bad_value_refused_before_any_stage(self, tmp_path, capsys,
                                                 key, value):
@@ -181,6 +184,20 @@ class TestConfigValidation:
         assert err.startswith(f"error: {key}: ") and "Traceback" not in err
         assert not (out / "plant.bdd").exists()
         assert not list(tmp_path.glob("escaped.*"))
+
+    @pytest.mark.parametrize("key", ["targets", "obstacles", "safe"])
+    @pytest.mark.parametrize("box", [[[3, 0], [3, 0]], [[3], [2]]])
+    def test_spec_box_not_fitting_the_grid_refused_before_any_stage(
+            self, tmp_path, capsys, key, box):
+        # a box with the grid's dimension that misses its cells is allowed;
+        # one of another dimension, or with lo > hi, is not
+        cfgp = toy_config(tmp_path, **{f"spec.{key}": [[[9], [9]], box]})
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfgp), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: spec.{key}[1]: ") and "Traceback" not in err
+        assert not (out / "plant.bdd").exists()
 
     def test_edge_points_and_keyword_case_accepted(self, tmp_path):
         # the toy's cells span [-0.5, 3.5] and its input cells [-0.5, 1.5];
