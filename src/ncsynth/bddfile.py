@@ -8,7 +8,8 @@ Layout (little-endian):
     vars    u32      variable count of the owning manager
     nodes   u64      internal node count
             node_count entries of (u32 var, u64 lo, u64 hi), children
-            before parents; entry i gets id i + 2 (ids 0/1 are the
+            before parents, each child on a variable below its parent's
+            (a greater index); entry i gets id i + 2 (ids 0/1 are the
             FALSE/TRUE terminals)
     root    u64      id of the root (0 or 1 for constant functions)
 
@@ -122,6 +123,7 @@ def load(path, manager=None):
         manager.add_vars(var_count - manager.var_count)
 
     refs = [0, 1]
+    levels = [var_count, var_count]     # variable of each id, terminals last
     for i in range(node_count):
         var, lo, hi = _NODE.unpack(take(_NODE.size))
         if var >= var_count:
@@ -129,8 +131,11 @@ def load(path, manager=None):
                                f"outside declared count {var_count}")
         if lo >= i + 2 or hi >= i + 2:
             raise BddFileError(f"{path}: node {i} is not in topological order")
-        ref = manager._make(var, refs[lo], refs[hi])
-        refs.append(ref)
+        if levels[lo] <= var or levels[hi] <= var:
+            raise BddFileError(f"{path}: node {i} on variable {var} has a "
+                               f"child on a variable not below it")
+        refs.append(manager._make(var, refs[lo], refs[hi]))
+        levels.append(var)
     (root_id,) = struct.unpack("<Q", take(8))
     if root_id >= len(refs):
         raise BddFileError(f"{path}: root id {root_id} out of range")

@@ -32,7 +32,7 @@ from .config import ConfigError, RunConfig
 from .modelio import (artifact_files, load_controller, load_model,
                       load_ncs_model, load_plant_model, save_controller,
                       save_ncs_model, save_plant_model)
-from .ncs import DelayBounds, expand, expand_spec_set, reachable
+from .ncs import expand, expand_spec_set, reachable
 from .plants import make_plant
 from .simulate import ClosedLoop, DomainViolation, export_trace
 from .synthesis import (solve_gen_buchi, solve_persistence, solve_reach,
@@ -150,10 +150,14 @@ def cmd_expand(cfg, out_dir):
 
 
 def _spec_sets(cfg, base, model):
-    """Lift configured boxes to predicates over the expanded state set."""
+    """Lift configured boxes to predicates over the expanded state set:
+    one target per box for gen_buchi, else one of their union, lifted once
+    (lifting commutes with union)."""
     empty = base.pre_set.empty()
-    targets = [expand_spec_set(empty.add_boxes([box]), model)
-               for box in cfg.spec.targets]
+    boxes = cfg.spec.targets
+    groups = ([[box] for box in boxes] if cfg.spec.kind == "gen_buchi"
+              else [boxes])
+    targets = [expand_spec_set(empty.add_boxes(g), model) for g in groups if g]
     safe = None
     if cfg.spec.safe:
         safe = expand_spec_set(empty.add_boxes(cfg.spec.safe), model)
@@ -174,21 +178,15 @@ def cmd_synth(cfg, out_dir):
     targets, safe = _spec_sets(cfg, base, model)
 
     kind = cfg.spec.kind
-    if kind in ("reach", "recurrence"):
-        # only these two take the union; on a large expanded model it costs
-        # real time and memory
-        any_target = model.mgr.false
-        for t in targets:
-            any_target = any_target | t
     if kind == "safety":
         ctrl = solve_safety(model, safe)
     elif kind == "reach":
-        ctrl = solve_reach(model, any_target if safe is None
-                           else any_target & safe)
+        ctrl = solve_reach(model, targets[0] if safe is None
+                           else targets[0] & safe)
     elif kind == "persistence":
         ctrl = solve_persistence(model, safe)
     elif kind == "recurrence":
-        ctrl = solve_recurrence(model, any_target)
+        ctrl = solve_recurrence(model, targets[0])
     else:
         ctrl = solve_gen_buchi(model, targets, safe=safe)
 
@@ -252,8 +250,7 @@ def cmd_codegen(cfg, out_dir):
     t0 = time.monotonic()
     ctrl_path, = _inputs(out_dir, "controller.bdd")
     ctrl, meta = load_controller(ctrl_path)
-    delays = meta.get("delays")
-    if delays and not DelayBounds(**delays).prolonged:
+    if ctrl.model.bounds and not ctrl.model.bounds.prolonged:
         raise UsageError(
             "controller was synthesized for time-varying delays; code is "
             "only emitted for prolonged-delay models (equal lower and upper "

@@ -15,38 +15,34 @@ always emitted alongside.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .bddfile import node_order
-from .synthesis import Controller, Mode
 
 
 class CodegenError(Exception):
     pass
 
 
-def _determinize_relation(mgr, rel, input_vars):
-    # resolve choice bit by bit from the most significant input bit:
-    # a state keeps the 0-branch whenever any retained input has that bit 0
-    for j in range(len(input_vars) - 1, -1, -1):
-        v = mgr.var(input_vars[j])
-        with0 = rel & ~v
-        some0 = with0.exists(input_vars)
-        rel = with0 | (rel & v & ~some0)
-    return rel
-
-
 def determinize(controller):
     """Restrict every mode to the minimum-code input per domain state."""
-    mgr = controller.mgr
-    rel = _determinize_relation(mgr, controller.relation, controller.input_vars)
-    modes = None
-    if controller.modes is not None:
-        modes = [Mode(relation=_determinize_relation(mgr, m.relation,
-                                                     controller.input_vars),
-                      goal=m.goal, next_mode=m.next_mode)
-                 for m in controller.modes]
-    return Controller(relation=rel, pre_vars=controller.pre_vars,
-                      input_vars=controller.input_vars, modes=modes,
-                      stats=dict(controller.stats), model=controller.model)
+    mgr, input_vars = controller.mgr, controller.input_vars
+
+    def det(rel):
+        # resolve choice bit by bit from the most significant input bit: a
+        # state keeps the 0-branch whenever any retained input has that bit 0
+        for w in reversed(input_vars):
+            v = mgr.var(w)
+            with0 = rel & ~v
+            some0 = with0.exists(input_vars)
+            rel = with0 | (rel & v & ~some0)
+        return rel
+
+    rel = det(controller.relation)
+    modes = None if controller.modes is None else [
+        replace(m, relation=det(m.relation)) for m in controller.modes]
+    return replace(controller, relation=rel, modes=modes,
+                   stats=dict(controller.stats))
 
 
 def is_deterministic_relation(mgr, rel, pre_vars, input_vars):

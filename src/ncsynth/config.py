@@ -18,6 +18,16 @@ class ConfigError(Exception):
     """Malformed or inconsistent run configuration."""
 
 
+def _section(d, where, known):
+    """Refuse `d` unless it is an object holding only the keys `known`."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object")
+    for key in d:
+        if key not in known:
+            raise ConfigError(f"{where}.{key}: unknown key; {where} takes "
+                              f"{sorted(known)}")
+
+
 def _require(d, key, kind, where):
     if key not in d:
         raise ConfigError(f"{where}: missing required key {key!r}")
@@ -71,8 +81,7 @@ def _boxes(d, key, where):
 
 
 def _grid(d, where):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where}: expected an object")
+    _section(d, where, ("lb", "ub", "eta"))
     lb = _vector(d, "lb", where)
     ub = _vector(d, "ub", where)
     eta = _vector(d, "eta", where)
@@ -92,8 +101,7 @@ class PlantConfig:
 
     @classmethod
     def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ConfigError("plant: expected an object")
+        _section(d, "plant", ("name", "params", "tau", "grid", "input_grid"))
         name = _require(d, "name", str, "plant")
         if name not in _BUILDERS:
             raise ConfigError(f"plant.name: unknown plant {name!r}; have "
@@ -118,10 +126,9 @@ class PlantConfig:
 
 
 def _delays(d):
-    if not isinstance(d, dict):
-        raise ConfigError("delays: expected an object")
-    vals = {key: _require(d, key, int, "delays")
-            for key in ("nsc_min", "nsc_max", "nca_min", "nca_max")}
+    keys = ("nsc_min", "nsc_max", "nca_min", "nca_max")
+    _section(d, "delays", keys)
+    vals = {key: _require(d, key, int, "delays") for key in keys}
     try:
         return DelayBounds(**vals)
     except ValueError as exc:
@@ -140,8 +147,7 @@ class SpecConfig:
 
     @classmethod
     def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise ConfigError("spec: expected an object")
+        _section(d, "spec", ("kind", "targets", "obstacles", "safe"))
         kind = _require(d, "kind", str, "spec")
         if kind not in _SPEC_KINDS:
             raise ConfigError(f"spec.kind: {kind!r} is not one of {_SPEC_KINDS}")
@@ -172,8 +178,7 @@ class SimConfig:
     def from_dict(cls, d):
         if d is None:
             return cls()
-        if not isinstance(d, dict):
-            raise ConfigError("sim: expected an object")
+        _section(d, "sim", ("steps", "x0", "seed", "channel_mode", "u0"))
         mode = d.get("channel_mode", "prolonged")
         if mode not in ("prolonged", "random"):
             raise ConfigError(f"sim.channel_mode: unknown mode {mode!r}")
@@ -224,8 +229,7 @@ class CodegenConfig:
     def from_dict(cls, d):
         if d is None:
             return cls()
-        if not isinstance(d, dict):
-            raise ConfigError("codegen: expected an object")
+        _section(d, "codegen", ("targets", "name"))
         targets = d.get("targets", ["c", "verilog"])
         if not isinstance(targets, list):
             raise ConfigError("codegen.targets: expected a list")

@@ -228,7 +228,6 @@ class SymbolicSet:
         self.var_ids = tuple(tuple(ids) for ids in var_ids)
         self.block = tuple(v for ids in self.var_ids for v in ids)
         self.chi = chi if chi is not None else mgr.false
-        self._domain = None
 
     @property
     def support(self):
@@ -236,12 +235,10 @@ class SymbolicSet:
 
     def domain(self):
         """Characteristic function of all in-range codes."""
-        if self._domain is None:
-            d = self.mgr.true
-            for ids, n in zip(self.var_ids, self.grid.npoints):
-                d = d & dim_interval(self.mgr, ids, 0, n - 1)
-            self._domain = d
-        return self._domain
+        d = self.mgr.true
+        for ids, n in zip(self.var_ids, self.grid.npoints):
+            d = d & dim_interval(self.mgr, ids, 0, n - 1)
+        return d
 
     def full(self):
         """Copy covering the whole grid."""

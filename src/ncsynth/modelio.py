@@ -263,7 +263,5 @@ def load_controller(path):
                    else load(path.with_name(entry["relation"]), manager=mgr)[0])
             goal = load(path.with_name(entry["goal"]), manager=mgr)[0]
             modes.append(Mode(relation=rel, goal=goal, next_mode=entry["next"]))
-    ctrl = Controller(relation=relation, pre_vars=tuple(sorted(model.pre_vars)),
-                      input_vars=tuple(model.input_vars), modes=modes,
-                      stats=dict(meta.get("stats", {})), model=model)
-    return ctrl, meta
+    return Controller.of(model, relation, dict(meta.get("stats", {})),
+                         modes=modes), meta

@@ -10,7 +10,8 @@ which case cells translate rigidly and the radius is preserved.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -31,7 +32,6 @@ class PlantSpec:
     tau: float
     growth: object = EXACT             # n x n matrix, or EXACT
     exact_step: callable = None        # (x, u, tau) -> x', required for EXACT
-    _expm_cache: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -55,13 +55,12 @@ class PlantSpec:
     def is_exact(self):
         return self.growth is EXACT
 
+    @cached_property
     def growth_factor(self):
-        """expm(L*tau), cached; nonnegative for valid growth matrices."""
+        """expm(L*tau); nonnegative for valid growth matrices."""
         if self.is_exact:
             raise ValueError("exact plants have no growth matrix")
-        if self._expm_cache is None:
-            self._expm_cache = expm(self.growth * self.tau)
-        return self._expm_cache
+        return expm(self.growth * self.tau)
 
 
 def integrate(spec, x, u):
@@ -93,7 +92,7 @@ def growth_radius(spec, r, u):
         raise ValueError("radius components must be >= 0")
     if spec.is_exact:
         return r
-    return tuple(float(v) for v in spec.growth_factor() @ np.asarray(r))
+    return tuple(float(v) for v in spec.growth_factor @ np.asarray(r))
 
 
 # ----------------------------------------------------------------------

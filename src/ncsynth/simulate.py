@@ -14,6 +14,7 @@ random mode exists for demonstration only and must be enabled explicitly.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import random
@@ -108,21 +109,21 @@ class StepRecord:
     mode: int
 
 
-class _Packers(dict):
-    """The struct packer of n doubles, per n."""
-
-    def __missing__(self, n):
-        pack = self[n] = struct.Struct(f"{n}d").pack
-        return pack
-
-
-_PACK = _Packers()
+@functools.cache
+def _packer(n):
+    """The struct of n doubles."""
+    return struct.Struct(f"{n}d")
 
 
 def _bits(v):
     """Key of a float vector that tells apart any two vectors whose bits
     differ: 0.0 and -0.0 compare and hash equal but print apart."""
-    return _PACK[len(v)](*v)
+    return _packer(len(v)).pack(*v)
+
+
+def _unbits(key):
+    """The float vector whose `_bits` are `key`."""
+    return _packer(len(key) // 8).unpack(key)
 
 
 def _record_key(r):
@@ -193,13 +194,15 @@ class ClosedLoop:
     has no delay channels: it is one state register and no input register,
     and the chosen input acts within the same step.
 
-    Every pure per-step call is memoised per loop, since a deterministic
-    controller soon revisits the same situations: the controller's input
-    per (mode, register contents), its goal check per (mode, delivered
-    cell), the cell of a state, the center of an input cell and the plant
-    step per (state, applied input).  A float vector is keyed on its bits
-    (`_bits`), because 0.0 and -0.0 are equal keys of a dict but print
-    apart.  A call that raises stores nothing, so it raises again.
+    Every pure per-step call is memoised per loop with `functools.cache`,
+    since a deterministic controller soon revisits the same situations:
+    the controller's input per (mode, register contents), its goal check
+    per (mode, delivered cell), the cell of a state, the center of an input
+    cell and the plant step per (state, held input cell).  The cell is
+    keyed on the state's value, since equal floats lie in one cell; the
+    plant step on the state's `_bits`, because 0.0 and -0.0 are equal keys
+    of a dict but print apart.  A call that raises stores nothing, so it
+    raises again.
     """
 
     def __init__(self, plant, controller, x0, u0=None, seed=0,
@@ -232,59 +235,47 @@ class ClosedLoop:
         self.x = tuple(float(v) for v in x0)
         self.k = 0
         self.mode = 0
-        # the registers besides the newest sample, as the `_picks` key holds
-        # them and `encode_state` takes them: x2..xs newest first (None
-        # until sampled) and u1..uc (set with u0_idx)
+        # the registers besides the newest sample, as `_pick` and
+        # `encode_state` take them: x2..xs newest first (None until
+        # sampled) and u1..uc (set with the initialization input)
         self._older = (None,) * (self.s - 1)
         self._outputs = ()
-        self._picks = {}
-        self._goal_hits = {}
-        self._symbols = {}          # bits of x -> cell index vector
-        self._centers = {}          # input index vector -> (center, bits)
-        self._successors = {}       # bits of x + bits of applied -> next x
+        # the memos of the class doc, shadowing the methods they wrap
+        self._symbol = functools.cache(self.state_grid.point_to_symbol)
+        self._center = functools.cache(self.input_grid.center)
+        self._pick = functools.cache(self._pick)
+        self._goal_hit = functools.cache(self._goal_hit)
+        self._successor = functools.cache(self._successor)
 
         self._init_mode_and_u0(self._symbol(self.x), u0)
         # preload the actuation channel: the hold applies the
         # initialization input until the first real output arrives
         for age in range(self.c, 0, -1):
-            self.ca.send(self.u0_idx, -age)
-        self.zoh, self._zoh_key = self._center(self.u0_idx)
+            self.ca.send(self.held, -age)
 
     # ------------------------------------------------------------------
 
-    def _symbol(self, x, key=None):
-        """Cell index vector of state x, whose `_bits` are `key`."""
-        if key is None:
-            key = _bits(x)
-        sym = self._symbols.get(key)
-        if sym is None:
-            sym = self._symbols[key] = self.state_grid.point_to_symbol(x)
-        return sym
+    def _pick(self, mode, xs, outputs):
+        """Input index vector chosen in `mode` at the registers xs and
+        outputs of `encode_state`, or None when the mode admits no input
+        there; the delay registers always take their defaults."""
+        rel = self.controller.mode_relations()[mode]
+        code = self.controller.pick_input(
+            self.model.encode_state(xs, outputs), rel)
+        return None if code is None else self.input_grid.unpack(code)
 
-    def _center(self, idx):
-        """Center of input cell idx and its `_bits`."""
-        u = self._centers.get(idx)
-        if u is None:
-            center = self.input_grid.center(idx)
-            u = self._centers[idx] = (center, _bits(center))
-        return u
+    def _goal_hit(self, mode, delivered):
+        """Whether the delivered cell meets the goal of `mode`: goals
+        constrain the newest-measurement register alone, so a hit is
+        satisfiability after fixing the anchor bits to the cell."""
+        anchor = self.model.anchor_set.assignment(delivered)
+        return not self.controller.modes[mode].goal.restrict(anchor).is_false
 
-    def _pick(self, mode, x_sym):
-        """Input index vector chosen in `mode` with x_sym as the newest
-        sample, or None when the mode admits no input there.
-
-        The key holds every argument of `encode_state`; the delay
-        registers always take their defaults.
-        """
-        xs = (x_sym,) + self._older
-        key = (mode, xs, self._outputs)
-        if key not in self._picks:
-            rel = self.controller.mode_relations()[mode]
-            code = self.controller.pick_input(
-                self.model.encode_state(xs, self._outputs), rel)
-            self._picks[key] = (None if code is None
-                                else self.input_grid.unpack(code))
-        return self._picks[key]
+    def _successor(self, x_key, held):
+        """The plant step from the state whose `_bits` are x_key, with the
+        center of input cell `held` in the hold."""
+        # the module's name, looked up per call, so a patched one runs
+        return integrate(self.plant, _unbits(x_key), self._center(held))
 
     def _init_mode_and_u0(self, x0_sym, u0):
         candidates = (list(self.input_grid.indices()) if u0 is None
@@ -296,7 +287,7 @@ class ClosedLoop:
                 a = self.model.encode_state(xs, self._outputs)
                 if self.controller.pick_input(a, rel) is not None:
                     self.mode = mode_idx
-                    self.u0_idx = u
+                    self.held = u
                     return
         raise DomainViolation(
             f"initial state {x0_sym} admits no initialization input in any "
@@ -305,9 +296,8 @@ class ClosedLoop:
     def step(self):
         """Advance one sampling period; returns the StepRecord."""
         k = self.k
-        x_key = _bits(self.x)
         try:
-            x_sym = self._symbol(self.x, x_key)
+            x_sym = self._symbol(self.x)
         except OutOfDomainError as exc:
             raise DomainViolation(f"step {k}: the plant state {self.x} left "
                                   f"the state grid ({exc})") from None
@@ -316,7 +306,7 @@ class ClosedLoop:
         arrivals = self.sc.deliver(k)
         delivered = arrivals[-1] if arrivals else None
 
-        chosen = self._pick(self.mode, x_sym)
+        chosen = self._pick(self.mode, (x_sym,) + self._older, self._outputs)
         if chosen is None:
             raise DomainViolation(
                 f"step {k}: controller mode {self.mode} has no input for the "
@@ -325,18 +315,11 @@ class ClosedLoop:
         self.ca.send(chosen, k)
         u_arrivals = self.ca.deliver(k)
         if u_arrivals:
-            self.zoh, self._zoh_key = self._center(u_arrivals[-1])
+            self.held = u_arrivals[-1]
 
-        applied = self.zoh
-        # x_key has the grid's length, so the concatenation is unambiguous
-        step_key = x_key + self._zoh_key
-        x_next = self._successors.get(step_key)
-        if x_next is None:
-            # the module's name, looked up per call, so a patched one runs
-            x_next = self._successors[step_key] = integrate(
-                self.plant, self.x, applied)
+        x_next = self._successor(_bits(self.x), self.held)
         record = StepRecord(k=k, x=self.x, delivered=delivered, chosen=chosen,
-                            applied=applied, mode=self.mode)
+                            applied=self._center(self.held), mode=self.mode)
 
         # bookkeeping for the next expanded state
         self._older = ((x_sym,) + self._older)[:self.s - 1]
@@ -350,23 +333,15 @@ class ClosedLoop:
         return record
 
     def _maybe_switch_mode(self, delivered, x_next):
-        mode = self.controller.modes[self.mode]
-        key = (self.mode, delivered)
-        if key not in self._goal_hits:
-            # goal predicates constrain the newest-measurement register and
-            # leave the others free (within the state space), so a hit is
-            # satisfiability after fixing the anchor bits to the cell
-            anchor = self.model.anchor_set.assignment(delivered)
-            self._goal_hits[key] = not mode.goal.restrict(anchor).is_false
-        if not self._goal_hits[key]:
+        if not self._goal_hit(self.mode, delivered):
             return
-        nxt = mode.next_mode
+        nxt = self.controller.modes[self.mode].next_mode
         try:
-            next_sym = self._symbol(x_next)
+            xs = (self._symbol(x_next),) + self._older
         except OutOfDomainError:
             return
         # the question step k + 1 asks in the new mode, so a hit there
-        if self._pick(nxt, next_sym) is not None:
+        if self._pick(nxt, xs, self._outputs) is not None:
             self.mode = nxt
 
     def run(self, steps, stop=None):

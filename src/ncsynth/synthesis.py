@@ -12,6 +12,7 @@ inside the projection of the current set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .bdd import Bdd
 from .grid import read_code
@@ -37,17 +38,21 @@ class Controller:
     modes: list = None
     stats: dict = field(default_factory=dict)
     model: object = None
-    _domain: Bdd = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def of(cls, model, relation, stats, modes=None):
+        """A controller over the state and input variables of `model`."""
+        return cls(relation=relation, pre_vars=model.pre_vars,
+                   input_vars=model.input_vars, modes=modes, stats=stats,
+                   model=model)
 
     @property
     def mgr(self):
         return self.relation.mgr
 
-    @property
+    @cached_property
     def domain(self):
-        if self._domain is None:
-            self._domain = self.relation.exists(self.input_vars)
-        return self._domain
+        return self.relation.exists(self.input_vars)
 
     @property
     def is_empty(self):
@@ -135,9 +140,7 @@ def solve_safety(model, safe):
         if nxt == Z:
             break
         Z = nxt
-    return Controller(relation=Z, pre_vars=model.pre_vars,
-                      input_vars=model.input_vars, model=model,
-                      stats={"iterations": iterations, "kind": "safety"})
+    return Controller.of(model, Z, {"iterations": iterations, "kind": "safety"})
 
 
 def _reach_fixpoint(model, target_pairs, within=None, collect=True):
@@ -172,9 +175,8 @@ def solve_reach(model, target):
     every valid input."""
     target_pairs = _pairs(model, target)
     Z, relation, iterations = _reach_fixpoint(model, target_pairs)
-    return Controller(relation=relation, pre_vars=model.pre_vars,
-                      input_vars=model.input_vars, model=model,
-                      stats={"iterations": iterations, "kind": "reach"})
+    return Controller.of(model, relation,
+                         {"iterations": iterations, "kind": "reach"})
 
 
 def solve_persistence(model, safe):
@@ -202,10 +204,9 @@ def solve_persistence(model, safe):
         relation = relation | (Y & ~domain)
         domain = Y.exists(model.input_vars)
         Z = Y
-    return Controller(relation=relation, pre_vars=model.pre_vars,
-                      input_vars=model.input_vars, model=model,
-                      stats={"iterations": outer, "inner_iterations": inner_total,
-                             "kind": "persistence"})
+    return Controller.of(model, relation,
+                         {"iterations": outer, "inner_iterations": inner_total,
+                          "kind": "persistence"})
 
 
 def solve_recurrence(model, target):
@@ -226,10 +227,9 @@ def solve_recurrence(model, target):
         Y = Z
     reentry = target_pairs & cpre(model, Y)
     _, relation, _ = _reach_fixpoint(model, reentry)
-    return Controller(relation=relation, pre_vars=model.pre_vars,
-                      input_vars=model.input_vars, model=model,
-                      stats={"iterations": outer, "inner_iterations": inner_total,
-                             "kind": "recurrence"})
+    return Controller.of(model, relation,
+                         {"iterations": outer, "inner_iterations": inner_total,
+                          "kind": "recurrence"})
 
 
 def solve_gen_buchi(model, targets, safe=None):
@@ -277,10 +277,9 @@ def solve_gen_buchi(model, targets, safe=None):
             raise SynthesisError("mode domains failed to converge to a "
                                  "common winning set")
     if win.is_false:
-        return Controller(relation=mgr.false, pre_vars=model.pre_vars,
-                          input_vars=model.input_vars, model=model, modes=[],
-                          stats={"iterations": outer, "kind": "gen_buchi",
-                                 "empty": True})
+        return Controller.of(model, mgr.false,
+                             {"iterations": outer, "kind": "gen_buchi",
+                              "empty": True}, modes=[])
 
     modes = []
     for i in range(m):
@@ -289,6 +288,5 @@ def solve_gen_buchi(model, targets, safe=None):
                                  "winning set")
         modes.append(Mode(relation=relations[i], goal=targets[i],
                           next_mode=(i + 1) % m))
-    return Controller(relation=modes[0].relation, pre_vars=model.pre_vars,
-                      input_vars=model.input_vars, model=model, modes=modes,
-                      stats={"iterations": outer, "kind": "gen_buchi"})
+    return Controller.of(model, modes[0].relation,
+                         {"iterations": outer, "kind": "gen_buchi"}, modes=modes)

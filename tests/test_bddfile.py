@@ -5,6 +5,7 @@ import pytest
 
 from ncsynth.bdd import Manager
 from ncsynth.bddfile import BddFileError, canonical_meta_bytes, load, save
+from ncsynth.cli import main
 
 from oracles import bdd_to_tt, tt_mask
 
@@ -107,3 +108,19 @@ def test_hundred_random_round_trips(tmp_path):
         assert bdd_to_tt(back, range(n)) == tt
         assert meta2 == meta
         assert canonical_meta_bytes(meta2) == canonical_meta_bytes(meta)
+
+
+def test_child_above_its_parent_refused(tmp_path, capsys):
+    # node 1 on variable 1 has node 0, on variable 0, as its lo child: read
+    # as given, it would be var0 | var1 as a function but not as a ref
+    meta = canonical_meta_bytes({})
+    raw = (b"SNSB" + struct.pack("<HI", 1, len(meta)) + meta
+           + struct.pack("<IQ", 2, 2)
+           + struct.pack("<IQQ", 0, 0, 1) + struct.pack("<IQQ", 1, 2, 1)
+           + struct.pack("<Q", 3))
+    p = tmp_path / "order.bdd"
+    p.write_bytes(raw)
+    with pytest.raises(BddFileError, match=r"order\.bdd: node 1 "):
+        load(p)
+    assert main(["dump", str(p)]) == 2
+    assert "node 1" in capsys.readouterr().err

@@ -9,9 +9,13 @@ from pathlib import Path
 
 import pytest
 
+from ncsynth.bddfile import load
 from ncsynth.cli import main
 from ncsynth.config import ConfigError, RunConfig
+from ncsynth.modelio import load_ncs_model, load_plant_model
+from ncsynth.ncs import expand_spec_set
 from ncsynth.simulate import load_trace_json
+from ncsynth.synthesis import solve_reach, solve_recurrence
 from oracles import trace_csv_text
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -173,6 +177,12 @@ class TestConfigValidation:
         ("plant.params.dim", "1"),
         ("plant.params.dim", True),
         ("plant.params.dim", 1.5),
+        ("sim.stpes", 5),
+        ("spec.target", [[[3], [3]]]),
+        ("codegen.nmae", "ctl"),
+        ("delays.nsc_mx", 2),
+        ("plant.input_gird", {"lb": [0], "ub": [1], "eta": [1]}),
+        ("plant.grid.etaa", [1]),
     ])
     def test_bad_value_refused_before_any_stage(self, tmp_path, capsys,
                                                 key, value):
@@ -309,6 +319,29 @@ class TestToyPipeline:
         rc = main(["synth", "--config", str(cfgp), "--out", str(out)])
         assert rc == 3
         assert "empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["reach", "recurrence"])
+    def test_target_union_is_the_union_of_box_lifts(self, tmp_path, kind):
+        spec = {"kind": kind, "targets": [[[3], [3]], [[0], [0]]]}
+        if kind == "reach":
+            spec["safe"] = [[[0], [3]]]
+        cfgp = toy_config(tmp_path, spec=spec)
+        out = tmp_path / "out"
+        for stage in ("abstract", "expand", "synth"):
+            assert main([stage, "--config", str(cfgp), "--out", str(out)]) == 0
+        base, _ = load_plant_model(out / "plant.bdd")
+        model, _ = load_ncs_model(out / "ncs.bdd")
+        empty = base.pre_set.empty()
+        target = model.mgr.false
+        for box in spec["targets"]:
+            target = target | expand_spec_set(empty.add_boxes([box]), model)
+        if kind == "reach":
+            ctrl = solve_reach(model, target & expand_spec_set(
+                empty.add_boxes(spec["safe"]), model))
+        else:
+            ctrl = solve_recurrence(model, target)
+        saved, _ = load(out / "controller.bdd", manager=model.mgr)
+        assert saved == ctrl.relation
 
     def test_stage_ordering_enforced(self, tmp_path, capsys):
         cfgp = toy_config(tmp_path)
