@@ -256,8 +256,7 @@ def cmd_codegen(cfg, out_dir):
             "only emitted for prolonged-delay models (equal lower and upper "
             "delay bounds per channel), where buffering makes the closed "
             "loop refine the symbolic guarantee")
-    arts = codegen_mod.generate(ctrl, cfg.codegen.name, meta,
-                                cfg.codegen.targets)
+    arts = codegen_mod.generate(ctrl, cfg.codegen.name, cfg.codegen.targets)
     outputs = []
     for art in arts:
         for key, suffix in (("header", ".h"), ("source", ".c"),

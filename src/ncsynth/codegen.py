@@ -87,14 +87,15 @@ def _node_table(bit_funcs, domain, pre_vars):
 _ROWS_PER_LINE = 8
 
 
-def emit_c(name, bit_funcs, domain, pre_vars, meta=None, registers=()):
+def emit_c(name, bit_funcs, domain, pre_vars, model=None):
     """C sources for the bit functions, a collector, and the domain
     predicate.  The state is passed as a packed uint64_t whose bit i is
     state variable pre_vars[i]; the collector returns the packed input
     code.  The diagram is one `node` table, rows 0/1 the terminals, that
-    `eval` walks from a root's row.  `registers`, (name, variable ids LSB
-    first) pairs, become one header comment each giving the register's
-    bits in the packed word.  Returns (header text, source text)."""
+    `eval` walks from a root's row.  The header comments give the
+    sampling period and channel delays of `model`, the controller's
+    model, and each of its state registers' bits in the packed word.
+    Returns (header text, source text)."""
     if len(pre_vars) > 64:
         raise CodegenError(f"state needs {len(pre_vars)} bits; the fixed "
                            f"width API supports at most 64")
@@ -137,7 +138,7 @@ def emit_c(name, bit_funcs, domain, pre_vars, meta=None, registers=()):
     hl.append("")
     hl.append(f"/* state: {len(pre_vars)} packed bits; input: "
               f"{len(bit_funcs)} packed bits */")
-    for line in _layout_comment(meta, registers, pre_vars):
+    for line in _layout_comment(model, pre_vars):
         hl.append(f"/* {line} */")
     hl.append("")
     for j in range(len(bit_funcs)):
@@ -150,7 +151,7 @@ def emit_c(name, bit_funcs, domain, pre_vars, meta=None, registers=()):
     return header, source
 
 
-def emit_verilog(name, bit_funcs, domain, pre_vars, meta=None, registers=()):
+def emit_verilog(name, bit_funcs, domain, pre_vars, model=None):
     """Combinational module: packed state in, packed input plus a domain
     valid flag out; one ternary assign per diagram node, wire n<i> for the
     node of id i + 2.  The header comments are those of `emit_c`."""
@@ -168,7 +169,7 @@ def emit_verilog(name, bit_funcs, domain, pre_vars, meta=None, registers=()):
     lines = []
     lines.append(f"// generated controller {name}")
     lines.append(f"// state width {len(pre_vars)}, input width {len(bit_funcs)}")
-    for line in _layout_comment(meta, registers, pre_vars):
+    for line in _layout_comment(model, pre_vars):
         lines.append(f"// {line}")
     lines.append(f"module {name} (")
     lines.append(f"    input  wire [{sb - 1}:0] state,")
@@ -188,24 +189,23 @@ def emit_verilog(name, bit_funcs, domain, pre_vars, meta=None, registers=()):
     return "\n".join(lines) + "\n"
 
 
-def _layout_comment(meta, registers, pre_vars):
-    out = []
-    meta = meta or {}
-    if "tau" in meta:
-        out.append(f"sampling period: {meta['tau']}")
-    d = meta.get("delays")
-    if d:
+def _layout_comment(model, pre_vars):
+    if model is None:
+        return []
+    out = [f"sampling period: {model.tau}"]
+    d = model.bounds
+    if d is not None:
         out.append(f"channel delays (samples): sensor-to-controller "
-                   f"[{d['nsc_min']};{d['nsc_max']}], controller-to-actuator "
-                   f"[{d['nca_min']};{d['nca_max']}]")
+                   f"[{d.nsc_min};{d.nsc_max}], controller-to-actuator "
+                   f"[{d.nca_min};{d.nca_max}]")
     pos = {v: i for i, v in enumerate(pre_vars)}
-    for reg, block in registers:
+    for reg, block in model.state_registers:
         out.append(f"state word bits of {reg}, LSB first: "
                    + " ".join(str(pos[v]) for v in block))
     return out
 
 
-def generate(controller, name, meta=None, targets=("c", "verilog")):
+def generate(controller, name, targets=("c", "verilog")):
     """Emit the artifacts of the back ends in `targets` for a controller;
     one artifact set per mode.
 
@@ -216,7 +216,6 @@ def generate(controller, name, meta=None, targets=("c", "verilog")):
     """
     det = determinize(controller)
     mgr = det.mgr
-    registers = det.model.state_registers if det.model is not None else ()
     relations = ([(i, m.relation) for i, m in enumerate(det.modes)]
                  if det.modes else [(None, det.relation)])
     out = []
@@ -227,9 +226,9 @@ def generate(controller, name, meta=None, targets=("c", "verilog")):
         art = {"mode": mode_idx, "name": mode_name}
         if "c" in targets:
             art["header"], art["source"] = emit_c(
-                mode_name, bits, domain, det.pre_vars, meta, registers)
+                mode_name, bits, domain, det.pre_vars, det.model)
         if "verilog" in targets:
-            art["verilog"] = emit_verilog(mode_name, bits, domain, det.pre_vars,
-                                          meta, registers)
+            art["verilog"] = emit_verilog(mode_name, bits, domain,
+                                          det.pre_vars, det.model)
         out.append(art)
     return out

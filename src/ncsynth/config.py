@@ -119,7 +119,11 @@ class PlantConfig:
                               f"{name!r}, which takes {sorted(known)}")
         for key in params:
             _require(params, key, type(known[key].default), "plant.params")
-        return cls(name=name, tau=_require(d, "tau", float, "plant"),
+        tau = _require(d, "tau", float, "plant")
+        if tau <= 0:
+            raise ConfigError(f"plant.tau: expected a positive sampling "
+                              f"period, got {tau}")
+        return cls(name=name, tau=tau,
                    grid=_grid(d.get("grid"), "plant.grid"),
                    input_grid=_grid(d.get("input_grid"), "plant.input_grid"),
                    params=params)

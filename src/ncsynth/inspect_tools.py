@@ -186,7 +186,8 @@ def explorer_repl(model, controller=None, stdin=None, stdout=None):
     Model queries: `<state fields> [input fields]...` echoes the state
     when no inputs follow, otherwise prints the post-state set after each
     input.  With a controller loaded, `? <state fields>` prints the
-    admissible inputs.
+    admissible inputs; its state fields are those of the controller's
+    model, which need not be the explored one.
     """
     import sys
     stdin = stdin or sys.stdin
@@ -205,7 +206,8 @@ def explorer_repl(model, controller=None, stdin=None, stdout=None):
                     print("no controller loaded", file=stdout)
                     continue
                 state = [int(t) for t in line[1:].split()]
-                inputs = explore_controller(controller, model, state)
+                inputs = explore_controller(controller, controller.model,
+                                            state)
                 if inputs is None:
                     print("no input", file=stdout)
                 else:

@@ -17,7 +17,6 @@ test oracle.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -97,8 +96,7 @@ class NcsLayout:
     of each block, then bit 1, ...).  From the top:
 
     - inputs: (label, u_post[0]), (u_pre[i], u_post[i+1]) for i < c-1,
-      then u_pre[c-1], the input the plant step applies under prolonged
-      delays, right above it;
+      then u_pre[c-1], the input the plant step applies, right above it;
     - states: (x_pre[0], x_post[0], x_post[1]), (x_pre[i], x_post[i+1]),
       then x_pre[s-1];
     - sensor-to-controller, then controller-to-actuator delay registers,
@@ -352,14 +350,9 @@ def _state_domain(mgr, lay):
     return d
 
 
-def expand(base, bounds, input_selector=None):
-    """Lift a plant model over delayed channels (pure BDD pipeline).
-
-    input_selector, when given, maps (sc delay vector, ca delay vector) to
-    the shift j of the buffered input consumed by the plant step (0 picks
-    the oldest register).  The default, matching constant prolonged
-    actuation delays, always applies the oldest buffered input.
-    """
+def expand(base, bounds):
+    """Lift a plant model over delayed channels (pure BDD pipeline); the
+    plant step always applies the oldest buffered input."""
     base_det = base.is_deterministic()
     if bounds.prolonged and not base_det:
         warnings.warn(
@@ -369,57 +362,18 @@ def expand(base, bounds, input_selector=None):
 
     lay = NcsLayout(bounds, base.pre_set.grid, base.input_set.grid)
     mgr = Manager(var_count=lay.var_count)
-    return _assemble(mgr, lay, bounds, base, input_selector, base_det)
 
-
-def _base_import_map(base, lay, applied_reg):
-    """Plant variables onto the applied input and the newest state
-    registers; zip leaves out a state block's marker flag bit."""
-    pairs = ((base.input_set, lay.u_pre[applied_reg]),
+    # the plant step on the newest state registers under the oldest input;
+    # zip leaves out a state block's marker flag bit
+    pairs = ((base.input_set, lay.u_pre[-1]),
              (base.pre_set, lay.x_pre[0]), (base.post_set, lay.x_post[0]))
-    return {v: t for sset, block in pairs for v, t in zip(sset.block, block)}
-
-
-def _assemble(mgr, lay, bounds, base, input_selector, base_det):
-    s, c = lay.s, lay.c
-
-    def base_step(applied_reg):
-        step = mgr.import_function(base.trans, _base_import_map(base, lay, applied_reg))
-        return (step & _reg_is_state(mgr, lay, lay.x_pre[0])
-                & _reg_is_state(mgr, lay, lay.x_post[0]))
-
-    if input_selector is None or (bounds.sc_range == 1 and bounds.ca_range == 1):
-        if input_selector is not None:
-            j = input_selector((bounds.nsc_max,) * s, (bounds.nca_max,) * c)
-            if j != 0:
-                raise ValueError("with singleton delay ranges the oldest "
-                                 "buffered input (shift 0) must be applied")
-        core = base_step(c - 1)
-    else:
-        groups = {}
-        for combo_sc in itertools.product(
-                range(bounds.nsc_min, bounds.nsc_max + 1), repeat=s):
-            for combo_ca in itertools.product(
-                    range(bounds.nca_min, bounds.nca_max + 1), repeat=c):
-                j = input_selector(combo_sc, combo_ca)
-                if not (0 <= j < c):
-                    raise ValueError(f"input selector returned shift {j}, "
-                                     f"valid range is [0, {c})")
-                groups.setdefault(j, []).append((combo_sc, combo_ca))
-        core = mgr.false
-        for j, combos in sorted(groups.items()):
-            sel = mgr.false
-            for combo_sc, combo_ca in combos:
-                cube = {}
-                for reg, n in zip(lay.dsc_pre, combo_sc):
-                    write_code(cube, reg, n - bounds.nsc_min)
-                for reg, n in zip(lay.dca_pre, combo_ca):
-                    write_code(cube, reg, n - bounds.nca_min)
-                sel = sel | mgr.cube(cube)
-            core = core | (sel & base_step(c - 1 - j))
+    step = {v: t for sset, block in pairs for v, t in zip(sset.block, block)}
+    rel = (mgr.import_function(base.trans, step)
+           & _reg_is_state(mgr, lay, lay.x_pre[0])
+           & _reg_is_state(mgr, lay, lay.x_post[0]))
 
     # every register shifts by one: post[i] holds what pre[i - 1] held
-    rel = core & mgr.equal_blocks(lay.u_post[0], lay.label)
+    rel = rel & mgr.equal_blocks(lay.u_post[0], lay.label)
     for pre, post in zip(lay.registers("pre"), lay.registers("post")):
         for dst, src in zip(post[1:], pre):
             rel = rel & mgr.equal_blocks(dst, src)
@@ -435,8 +389,8 @@ def _assemble(mgr, lay, bounds, base, input_selector, base_det):
     for block in lay.x_pre[1:]:
         init = init & _reg_is_marker(mgr, lay, block)
     init = init & _input_valid(mgr, lay, lay.u_pre[0])
-    for i in range(1, c):
-        init = init & mgr.equal_blocks(lay.u_pre[i], lay.u_pre[i - 1])
+    for newer, older in zip(lay.u_pre, lay.u_pre[1:]):
+        init = init & mgr.equal_blocks(older, newer)
     for reg in lay.dsc_pre:
         init = init & mgr.cube(write_code({}, reg, bounds.sc_range - 1))
     for reg in lay.dca_pre:
@@ -447,15 +401,13 @@ def _assemble(mgr, lay, bounds, base, input_selector, base_det):
                     base_deterministic=base_det)
 
 
-def expand_spec_set(sset, model, anchor="newest"):
+def expand_spec_set(sset, model):
     """Lift a predicate on the plant grid to the expanded state set by
-    constraining one state register; all other registers range freely over
-    their domains.  The no-measurement marker never satisfies the lifted
-    predicate."""
-    if anchor not in ("newest", "oldest"):
-        raise ValueError("anchor must be 'newest' or 'oldest'")
+    constraining the newest state register; all other registers range
+    freely over their domains.  The no-measurement marker never satisfies
+    the lifted predicate."""
     lay = model.layout
-    block = lay.x_pre[0 if anchor == "newest" else -1]
+    block = lay.x_pre[0]
     lifted = model.mgr.import_function(sset.chi, dict(zip(sset.block, block)))
     return lifted & _reg_is_state(model.mgr, lay, block) & model.state_domain
 

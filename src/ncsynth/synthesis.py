@@ -94,10 +94,9 @@ class Controller:
 
         return least(rel.ref)
 
-    def admissible_inputs(self, assignment, relation=None):
+    def admissible_inputs(self, assignment):
         """All admissible input codes at a state."""
-        rel = relation if relation is not None else self.relation
-        f = rel.restrict(assignment)
+        f = self.relation.restrict(assignment)
         return sorted(read_code(dict(zip(self.input_vars, bits)), self.input_vars)
                       for bits in self.mgr.cubes(f, self.input_vars))
 

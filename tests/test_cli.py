@@ -11,8 +11,9 @@ import pytest
 
 from ncsynth.bddfile import load
 from ncsynth.cli import main
+from ncsynth.codegen import generate
 from ncsynth.config import ConfigError, RunConfig
-from ncsynth.modelio import load_ncs_model, load_plant_model
+from ncsynth.modelio import load_controller, load_ncs_model, load_plant_model
 from ncsynth.ncs import expand_spec_set
 from ncsynth.simulate import load_trace_json
 from ncsynth.synthesis import solve_reach, solve_recurrence
@@ -183,6 +184,8 @@ class TestConfigValidation:
         ("delays.nsc_mx", 2),
         ("plant.input_gird", {"lb": [0], "ub": [1], "eta": [1]}),
         ("plant.grid.etaa", [1]),
+        ("plant.tau", 0),
+        ("plant.tau", -1.0),
     ])
     def test_bad_value_refused_before_any_stage(self, tmp_path, capsys,
                                                 key, value):
@@ -248,6 +251,21 @@ class TestToyPipeline:
         assert synth_manifest["sizes"]["empty"] is False
         assert synth_manifest["inputs"]
         assert str(out / "plant.bdd") in synth_manifest["inputs"]
+
+    def test_codegen_bytes_follow_from_the_controller_file(self, tmp_path):
+        # the header facts (sampling period, delays, register bits) are
+        # those of the model that the controller file describes
+        cfgp = toy_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgp), "--out", str(out)]) == 0
+        ctrl, _ = load_controller(out / "controller.bdd")
+        (art,) = generate(ctrl, "toyctl")
+        assert "/* sampling period: 1.0 */" in art["header"]
+        assert ("/* channel delays (samples): sensor-to-controller [2;2], "
+                "controller-to-actuator [2;2] */") in art["header"]
+        for key, suffix in (("header", ".h"), ("source", ".c"),
+                            ("verilog", ".v")):
+            assert (out / f"toyctl{suffix}").read_text() == art[key], key
 
     def test_reach_run_ends_at_first_target_sample(self, tmp_path):
         # a reach controller guarantees a visit, not a stay: past the
@@ -437,6 +455,28 @@ class TestInspectCommands:
         monkeypatch.setattr("sys.stdin", io.StringIO("0\nquit\n"))
         assert main(["explore", str(out / "plant.bdd")]) == 0
         assert "state: (0,)" in capsys.readouterr().out
+
+    def test_explore_controller_query_reads_the_controllers_model(
+            self, tmp_path, capsys, monkeypatch):
+        # `?` rows are states of the controller's (expanded) model, not of
+        # the explored plant model: a plant row is refused with an error
+        # line, a full register row is answered
+        cfgp = toy_config(tmp_path)
+        out = tmp_path / "out"
+        for stage in ("abstract", "expand", "synth"):
+            assert main([stage, "--config", str(cfgp), "--out", str(out)]) == 0
+        capsys.readouterr()
+        import io
+        monkeypatch.setattr("sys.stdin",
+                            io.StringIO("? 0\n? 0 -1 0 0 2 2 2 2\nquit\n"))
+        rc = main(["explore", str(out / "plant.bdd"),
+                   "--controller", str(out / "controller.bdd")])
+        captured = capsys.readouterr()
+        assert rc == 0
+        lines = captured.out.splitlines()
+        assert lines[1].startswith("error: ")
+        assert lines[2].startswith(("inputs: ", "no input"))
+        assert "Traceback" not in captured.err
 
     def test_coverage_command_planar(self, tmp_path, capsys):
         cfg = {

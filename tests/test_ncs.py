@@ -176,25 +176,6 @@ class TestGeneralDelays:
         assert decoded_transitions(model) == transitions
         assert model.n_states_symbolic() == len(space)
 
-    def test_custom_input_selector(self):
-        # consume the newest buffered input whenever the head delay is minimal
-        def selector(dsc, dca):
-            return 1 if dca[0] == 1 else 0
-
-        mgr = Manager()
-        base, trans = complete_toy(mgr, 3, 2)
-        model = expand(base, DelayBounds(1, 1, 1, 2), input_selector=selector)
-        _, _, transitions = expand_explicit(
-            list(range(3)), list(range(2)), trans, list(range(3)),
-            (1, 1, 1, 2), input_selector=selector)
-        assert decoded_transitions(model) == transitions
-
-    def test_selector_rejected_when_out_of_range(self):
-        mgr = Manager()
-        base, _ = complete_toy(mgr)
-        with pytest.raises(ValueError):
-            expand(base, DelayBounds(1, 2, 1, 1), input_selector=lambda a, b: 5)
-
 
 class TestSpecSetLifting:
     def setup_model(self):
@@ -219,14 +200,6 @@ class TestSpecSetLifting:
         single = base.pre_set.empty().add_box((2.0,), (2.0,))
         lifted = expand_spec_set(single, model)
         assert model.mgr.sat_count(lifted, model.pre_vars) == 1 * 5 * 4
-
-    def test_lift_oldest_anchor(self):
-        mgr, base, model = self.setup_model()
-        single = base.pre_set.empty().add_box((2.0,), (2.0,))
-        lifted = expand_spec_set(single, model, anchor="oldest")
-        got = decoded_states(model, lifted)
-        assert all(xs[-1] == 2 for xs, _, _, _ in got)
-        assert len(got) == 5 * 1 * 4
 
     def test_marker_never_satisfies_lift(self):
         mgr, base, model = self.setup_model()
