@@ -173,11 +173,25 @@ def explore_model(model, state, input_sequence):
 
 def explore_controller(controller, model, state):
     """Admissible input index vectors at a state, or None when the state
-    is outside the controller domain."""
+    is outside the controller domain.  `model` must have the controller's
+    state variables, as `controller.model` does."""
+    if tuple(model.pre_vars) != tuple(controller.pre_vars):
+        raise ValueError(f"the controller is over the {_label(controller.model)}"
+                         f", not the {_label(model)}")
     codes = controller.admissible_inputs(model.encode_row(state))
     if not codes:
         return None
     return [model.input_grid.unpack(code) for code in codes]
+
+
+def _label(model):
+    if model is None:
+        return "unknown model"
+    if model.bounds is None:
+        return f"plant model {model.name!r}"
+    b = model.bounds
+    return (f"expanded model of {model.base_name!r} at delays "
+            f"({b.nsc_min}, {b.nsc_max}, {b.nca_min}, {b.nca_max})")
 
 
 def explorer_repl(model, controller=None, stdin=None, stdout=None):

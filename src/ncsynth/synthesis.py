@@ -6,7 +6,9 @@ valid_pairs, nonblocking and not_trans of `abstraction.SymbolicModel`),
 so the same code serves plant models and expanded networked models.
 Winning sets are sets of state-input pairs; the controllable predecessor
 keeps a pair iff it has at least one successor and every successor stays
-inside the projection of the current set.
+inside the projection of the current set.  Since that projection is all
+`cpre` reads, reach fixed points iterate on the winning states and form
+the winning pairs once, at the end (`_reach_fixpoint`).
 """
 
 from __future__ import annotations
@@ -143,28 +145,40 @@ def solve_safety(model, safe):
 
 
 def _reach_fixpoint(model, target_pairs, within=None, collect=True):
-    """Least fixed point of target_pairs | cpre(Z), optionally constrained
-    to `within` pairs at every step.  Returns (winning pairs, first-entry
-    relation, iterations)."""
+    """Least fixed point of Z0 | cpre(Z), Z0 = target_pairs, optionally
+    constrained to `within` pairs at every step.  Returns (winning pairs,
+    winning states, first-entry relation, iterations); without `collect`
+    the relation is left at the target pairs.
+
+    `cpre` reads only the projection of Z, so the layers run on the
+    winning states D: a layer's fresh pairs are those of `cpre(D)` at
+    states outside D, and only they are projected.  The pair set is
+    Z0 | step for the last `step`.  A loop over pairs would stop at the
+    same layer, or one later when the last layer only added pairs at
+    states already winning; `iterations` counts that layer too.
+    """
     allowed = model.nonblocking
-    Z = target_pairs
+    Z0 = target_pairs
     if within is not None:
         allowed = allowed & within
-        Z = Z & within
-    relation = Z
-    domain = Z.exists(model.input_vars)
+        Z0 = Z0 & within
+    relation = Z0
+    D = Z0.exists(model.input_vars)
+    step = model.mgr.false
     iterations = 0
     while True:
-        step = cpre(model, Z, allowed)
-        nxt = Z | step
+        prev, step = step, cpre(model, D, allowed)
+        fresh = step & ~D
         iterations += 1
-        if nxt == Z:
+        if fresh.is_false:
             break
         if collect:
-            relation = relation | (step & ~domain)
-            domain = nxt.exists(model.input_vars)
-        Z = nxt
-    return Z, relation if collect else Z, iterations
+            relation = relation | fresh
+        D = D | fresh.exists(model.input_vars)
+    Z = Z0 | step
+    if Z != Z0 | prev:
+        iterations += 1
+    return Z, D, relation, iterations
 
 
 def solve_reach(model, target):
@@ -173,7 +187,7 @@ def solve_reach(model, target):
     toward the target is strictly decreasing in rank.  Target states keep
     every valid input."""
     target_pairs = _pairs(model, target)
-    Z, relation, iterations = _reach_fixpoint(model, target_pairs)
+    _, _, relation, iterations = _reach_fixpoint(model, target_pairs)
     return Controller.of(model, relation,
                          {"iterations": iterations, "kind": "reach"})
 
@@ -218,14 +232,14 @@ def solve_recurrence(model, target):
     outer = inner_total = 0
     while True:
         reentry = target_pairs & cpre(model, Y)
-        Z, _, inner = _reach_fixpoint(model, reentry, collect=False)
+        Z, _, _, inner = _reach_fixpoint(model, reentry, collect=False)
         inner_total += inner
         outer += 1
         if Z == Y:
             break
         Y = Z
     reentry = target_pairs & cpre(model, Y)
-    _, relation, _ = _reach_fixpoint(model, reentry)
+    _, _, relation, _ = _reach_fixpoint(model, reentry)
     return Controller.of(model, relation,
                          {"iterations": outer, "inner_iterations": inner_total,
                           "kind": "recurrence"})
@@ -260,9 +274,8 @@ def solve_gen_buchi(model, targets, safe=None):
     while True:
         changed = False
         for i in range(m):
-            W, relations[i], _ = _reach_fixpoint(model, reentry(i),
-                                                 within=safe_pairs)
-            d = W.exists(model.input_vars)
+            _, d, relations[i], _ = _reach_fixpoint(model, reentry(i),
+                                                    within=safe_pairs)
             if d != domains[i]:
                 domains[i] = d
                 changed = True

@@ -183,6 +183,23 @@ class TestExplorer:
         blocked = solve_safety(ts, ts.mgr.false)
         assert explore_controller(blocked, ts, (4, 4)) is None
 
+    def test_controller_of_another_model_refused(self):
+        # the plant model's state bits are not those of the expanded model
+        # the controller was synthesized on
+        _, ts = planar_model(6)
+        model = expand(ts, DelayBounds(1, 1, 1, 1))
+        target = expand_spec_set(
+            ts.pre_set.empty().add_box((5.0, 5.0), (6.0, 6.0)), model)
+        c = solve_reach(model, target)
+        assert c.model is model
+        with pytest.raises(ValueError) as err:
+            explore_controller(c, ts, (4, 4))
+        msg = str(err.value)
+        assert f"plant model {ts.name!r}" in msg
+        assert f"expanded model of {ts.name!r} at delays (1, 1, 1, 1)" in msg
+        row = (4, 4, 1, 1, 1, 1)    # x1, u1 (held input: stay), dsc1, dca1
+        assert explore_controller(c, model, row) == [(2, 2)]
+
     def test_repl_protocol(self):
         _, ts = planar_model(6)
         target = ts.pre_set.empty().add_box((5.0, 5.0), (6.0, 6.0))

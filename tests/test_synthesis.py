@@ -386,3 +386,93 @@ def test_pick_input_is_smallest_admissible(data):
     a = {v: (state >> i) & 1 for i, v in enumerate(pre_vars)}
     admissible = ctrl.admissible_inputs(a)
     assert ctrl.pick_input(a) == (min(admissible) if admissible else None)
+
+
+@st.composite
+def explicit_games(draw, max_states=10, max_inputs=3):
+    """A random explicit game: (state count, input count, successor
+    sets), where a pair without successors blocks."""
+    n = draw(st.integers(1, max_states))
+    m = draw(st.integers(1, max_inputs))
+    trans = {}
+    for x in range(n):
+        for u in range(m):
+            succs = draw(st.sets(st.integers(0, n - 1), max_size=3))
+            if succs:
+                trans[(x, u)] = succs
+    return n, m, trans
+
+
+def _pair_layers(model, target_pairs, within=None, collect=True):
+    """Reach layers on the pair set Z, as `_reach_fixpoint` ran them
+    before it ran on the winning states: the reference for its results."""
+    allowed = model.nonblocking
+    Z = target_pairs
+    if within is not None:
+        allowed = allowed & within
+        Z = Z & within
+    relation = Z
+    domain = Z.exists(model.input_vars)
+    iterations = 0
+    while True:
+        step = cpre(model, Z, allowed)
+        nxt = Z | step
+        iterations += 1
+        if nxt == Z:
+            break
+        if collect:
+            relation = relation | (step & ~domain)
+            domain = nxt.exists(model.input_vars)
+        Z = nxt
+    return (Z, Z.exists(model.input_vars), relation if collect else Z,
+            iterations)
+
+
+class TestStateLayers:
+    @settings(max_examples=200, deadline=None)
+    @given(explicit_games(), st.data())
+    def test_cpre_reads_only_the_state_projection(self, game, data):
+        n, m, trans = game
+        ts = build_explicit_ts(Manager(), n, m, trans)
+        pairs = st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)))
+
+        def pair_set(ps):
+            f = ts.mgr.false
+            for x, u in ps:
+                f = f | (ts.pre_set.cell_cube((x,)) & ts.input_set.cell_cube((u,)))
+            return f
+
+        Z = pair_set(data.draw(pairs))
+        allowed = data.draw(st.none() | pairs.map(
+            lambda ps: pair_set(ps) & ts.nonblocking))
+        assert cpre(ts, Z, allowed) == cpre(ts, Z.exists(ts.input_vars), allowed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(explicit_games(), st.data())
+    def test_solvers_match_pair_layers(self, game, data):
+        n, m, trans = game
+        ts = build_explicit_ts(Manager(), n, m, trans)
+        states = st.sets(st.integers(0, n - 1)).map(
+            lambda s: state_set_to_bdd(ts, s))
+        region = data.draw(states)
+        targets = data.draw(st.lists(states, min_size=1, max_size=2))
+        safe = data.draw(st.none() | states)
+        pairs = synthesis._pairs(ts, region)
+        within = synthesis._pairs(ts, data.draw(states))
+        assert (synthesis._reach_fixpoint(ts, pairs, within)
+                == _pair_layers(ts, pairs, within))
+        Z, D, _, iterations = synthesis._reach_fixpoint(ts, pairs, collect=False)
+        ref = _pair_layers(ts, pairs, collect=False)
+        assert (Z, D, iterations) == (ref[0], ref[1], ref[3])
+        solves = [lambda: solve_reach(ts, region),
+                  lambda: solve_recurrence(ts, region),
+                  lambda: solve_persistence(ts, region),
+                  lambda: solve_gen_buchi(ts, targets, safe=safe)]
+        for solve in solves:
+            new = solve()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(synthesis, "_reach_fixpoint", _pair_layers)
+                old = solve()
+            assert new.relation == old.relation
+            assert new.mode_relations() == old.mode_relations()
+            assert new.stats == old.stats
