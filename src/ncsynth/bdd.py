@@ -592,8 +592,6 @@ class Manager:
         if not isinstance(f, Bdd):
             raise BddError("import_function expects a Bdd")
         src = f.mgr
-        if src is self:
-            return self.rename(f, var_map)
         self._entry()
         for t in var_map.values():
             self._check_var(t)

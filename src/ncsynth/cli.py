@@ -212,7 +212,7 @@ def cmd_synth(cfg, out_dir):
     return outputs[0]
 
 
-def cmd_sim(cfg, out_dir, unsafe=False, seed=None):
+def cmd_sim(cfg, out_dir, unsafe=False):
     t0 = time.monotonic()
     ctrl_path, = _inputs(out_dir, "controller.bdd")
     ctrl, meta = load_controller(ctrl_path)
@@ -220,7 +220,7 @@ def cmd_sim(cfg, out_dir, unsafe=False, seed=None):
     if not cfg.sim.x0:
         raise UsageError("sim.x0 is required for simulation")
     loop = ClosedLoop(plant, ctrl, x0=cfg.sim.x0, u0=cfg.sim.u0,
-                      seed=cfg.sim.seed if seed is None else seed,
+                      seed=cfg.sim.seed,
                       channel_mode=cfg.sim.channel_mode, unsafe=unsafe)
     stop = None
     if cfg.spec.kind == "reach":
@@ -284,6 +284,8 @@ def cmd_dump(path):
 
 
 def cmd_coverage(path, dims):
+    if len(dims) != 2:
+        raise UsageError("--dims takes exactly two dimensions")
     ctrl, meta = load_controller(path)
     print(inspect_tools.cont_coverage(ctrl, ctrl.model, dims=dims))
 
@@ -316,29 +318,32 @@ def build_parser():
     add_config_cmd("expand", "lift the plant model over delayed channels")
     add_config_cmd("synth", "synthesize a controller for the configured spec")
     c = add_config_cmd("sim", "simulate the closed loop")
-    c.add_argument("--seed", type=int, default=None, help="override sim.seed")
     c.add_argument("--unsafe", action="store_true",
                    help="allow random-delay channels (no refinement guarantee)")
     add_config_cmd("codegen", "emit C and Verilog implementations")
     c = add_config_cmd("run", "run abstract, expand, synth, sim, codegen")
-    c.add_argument("--seed", type=int, default=None)
     c.add_argument("--unsafe", action="store_true")
 
     c = sub.add_parser("fsm", help="export a transition relation")
     c.add_argument("model", help="plant or expanded model file")
     c.add_argument("--to", required=True, help="output path")
     c.add_argument("--format", choices=("csv", "fsm"), default="csv")
+    c.set_defaults(handler=lambda a: cmd_fsm(a.model, a.to, a.format))
 
     c = sub.add_parser("dump", help="print BDD file metadata")
     c.add_argument("file")
+    c.set_defaults(handler=lambda a: cmd_dump(a.file))
 
     c = sub.add_parser("coverage", help="ASCII controller coverage map")
     c.add_argument("controller")
     c.add_argument("--dims", default="0,1", help="two state dimensions, e.g. 0,1")
+    c.set_defaults(handler=lambda a: cmd_coverage(
+        a.controller, tuple(int(v) for v in a.dims.split(","))))
 
     c = sub.add_parser("explore", help="interactive transition/controller probe")
     c.add_argument("model")
     c.add_argument("--controller", default=None)
+    c.set_defaults(handler=lambda a: cmd_explore(a.model, a.controller))
     return p
 
 
@@ -353,20 +358,10 @@ def main(argv=None):
             out_dir.mkdir(parents=True, exist_ok=True)
             for stage in STAGES if args.command == "run" else (args.command,):
                 # looked up at call time, so a patched cmd_<stage> runs
-                opts = ({"unsafe": args.unsafe, "seed": args.seed}
-                        if stage == "sim" else {})
+                opts = {"unsafe": args.unsafe} if stage == "sim" else {}
                 globals()[f"cmd_{stage}"](cfg, out_dir, **opts)
-        elif args.command == "fsm":
-            cmd_fsm(args.model, args.to, args.format)
-        elif args.command == "dump":
-            cmd_dump(args.file)
-        elif args.command == "coverage":
-            dims = tuple(int(v) for v in args.dims.split(","))
-            if len(dims) != 2:
-                raise UsageError("--dims takes exactly two dimensions")
-            cmd_coverage(args.controller, dims)
-        elif args.command == "explore":
-            cmd_explore(args.model, args.controller)
+        else:
+            args.handler(args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout; point it at devnull so that the flush

@@ -135,24 +135,20 @@ class UniformGrid:
     def box_index_ranges(self, lo, hi):
         """Per-dimension index interval of cells whose centers lie in [lo, hi],
         clipped to the grid; None when empty in some dimension."""
-        return _box_ranges(self, lo, hi)
-
-
-def _box_ranges(grid, lo, hi):
-    if len(lo) != grid.dim or len(hi) != grid.dim:
-        raise ValueError("box has wrong dimension")
-    ranges = []
-    for d in range(grid.dim):
-        if lo[d] > hi[d]:
-            raise ValueError(f"box dimension {d} has lo > hi")
-        a = math.ceil((lo[d] - grid.lb[d]) / grid.eta[d] - _FUZZ)
-        b = math.floor((hi[d] - grid.lb[d]) / grid.eta[d] + _FUZZ)
-        a = max(a, 0)
-        b = min(b, grid.npoints[d] - 1)
-        if a > b:
-            return None
-        ranges.append((a, b))
-    return ranges
+        if len(lo) != self.dim or len(hi) != self.dim:
+            raise ValueError("box has wrong dimension")
+        ranges = []
+        for d in range(self.dim):
+            if lo[d] > hi[d]:
+                raise ValueError(f"box dimension {d} has lo > hi")
+            a = math.ceil((lo[d] - self.lb[d]) / self.eta[d] - _FUZZ)
+            b = math.floor((hi[d] - self.lb[d]) / self.eta[d] + _FUZZ)
+            a = max(a, 0)
+            b = min(b, self.npoints[d] - 1)
+            if a > b:
+                return None
+            ranges.append((a, b))
+        return ranges
 
 
 def write_code(assignment, block, code):
@@ -249,7 +245,7 @@ class SymbolicSet:
 
     def add_box(self, lo, hi):
         """Union with all cells whose centers lie in the box [lo, hi]."""
-        ranges = _box_ranges(self.grid, lo, hi)
+        ranges = self.grid.box_index_ranges(lo, hi)
         if ranges is None:
             warnings.warn("box does not intersect the grid; set unchanged",
                           stacklevel=2)

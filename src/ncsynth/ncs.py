@@ -113,7 +113,6 @@ class NcsLayout:
         sbq, marker, _ = state_code_layout(state_grid)
         self.s = s
         self.c = c
-        self.input_bits = ib
         self.state_bits = sbq
         self.marker_code = marker
         self.sc_range = bounds.sc_range

@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-from scipy.linalg import expm
-
 EXACT = "exact"
 
 
@@ -36,11 +33,12 @@ class PlantSpec:
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.growth is EXACT or self.growth == EXACT:
+        if isinstance(self.growth, str) and self.growth == EXACT:
             self.growth = EXACT
             if self.exact_step is None:
                 raise ValueError("exact growth requires a closed-form step")
         else:
+            import numpy as np
             L = np.asarray(self.growth, dtype=float)
             if L.shape != (self.dim, self.dim):
                 raise ValueError(f"growth matrix must be {self.dim}x{self.dim}")
@@ -60,6 +58,7 @@ class PlantSpec:
         """expm(L*tau); nonnegative for valid growth matrices."""
         if self.is_exact:
             raise ValueError("exact plants have no growth matrix")
+        from scipy.linalg import expm
         return expm(self.growth * self.tau)
 
 
@@ -92,7 +91,7 @@ def growth_radius(spec, r, u):
         raise ValueError("radius components must be >= 0")
     if spec.is_exact:
         return r
-    return tuple(float(v) for v in spec.growth_factor @ np.asarray(r))
+    return tuple(float(v) for v in spec.growth_factor @ r)
 
 
 # ----------------------------------------------------------------------

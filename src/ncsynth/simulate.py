@@ -151,9 +151,6 @@ class Trace:
     records: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def __len__(self):
-        return len(self.records)
-
     def columns(self):
         """CSV column names, one per grid dimension of `meta`."""
         n = len(self.meta.get("state_npoints", []))

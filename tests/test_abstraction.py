@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -50,6 +51,20 @@ class TestGrowthRadius:
                       rhs=lambda x, u: (x[1], u[0]), tau=0.5,
                       growth=[[0.0, 1.0], [0.0, 0.0]])
         assert growth_radius(p, (0.5, 0.5), (0.0,)) == pytest.approx((0.75, 0.5))
+
+    def test_array_matrix_accepted(self):
+        # the exact flag is compared only against a string
+        np = pytest.importorskip("numpy")
+        p = PlantSpec(name="h", dim=2, input_dim=1,
+                      rhs=lambda x, u: (x[1], u[0]), tau=0.5,
+                      growth=np.array([[0.0, 1.0], [0.0, 0.0]]))
+        assert growth_radius(p, (0.5, 0.5), (0.0,)) == pytest.approx((0.75, 0.5))
+
+    def test_copied_matrix_plant_accepted(self):
+        # dataclasses.replace re-runs the check on the stored array
+        p = dataclasses.replace(double_integrator(), tau=0.25)
+        assert not p.is_exact
+        assert growth_radius(p, (0.5, 0.5), (0.0,)) == pytest.approx((0.625, 0.5))
 
     def test_negative_off_diagonal_rejected(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from ncsynth.config import ConfigError, RunConfig
 from ncsynth.modelio import load_controller, load_ncs_model, load_plant_model
 from ncsynth.ncs import expand_spec_set
 from ncsynth.simulate import load_trace_json
-from ncsynth.synthesis import solve_reach, solve_recurrence
+from ncsynth.synthesis import solve_persistence, solve_reach, solve_recurrence
 from oracles import trace_csv_text
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -361,6 +361,29 @@ class TestToyPipeline:
         saved, _ = load(out / "controller.bdd", manager=model.mgr)
         assert saved == ctrl.relation
 
+    def test_persistence_controller_is_the_solver_on_the_safe_box(
+            self, tmp_path):
+        cfgp = toy_config(tmp_path, spec={"kind": "persistence",
+                                          "safe": [[[1], [3]]]})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgp), "--out", str(out)]) == 0
+        base, _ = load_plant_model(out / "plant.bdd")
+        model, _ = load_ncs_model(out / "ncs.bdd")
+        safe = expand_spec_set(base.pre_set.empty().add_box((1,), (3,)), model)
+        saved, _ = load(out / "controller.bdd", manager=model.mgr)
+        assert saved == solve_persistence(model, safe).relation
+
+    def test_run_without_sim_section_stops_at_sim(self, tmp_path, capsys):
+        cfgp = toy_config(tmp_path)
+        cfg = json.loads(cfgp.read_text())
+        del cfg["sim"]
+        cfgp.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfgp), "--out", str(out)]) == 2
+        assert "sim.x0 is required" in capsys.readouterr().err
+        assert (out / "controller.bdd").exists()
+        assert not (out / "trace.csv").exists()
+
     def test_stage_ordering_enforced(self, tmp_path, capsys):
         cfgp = toy_config(tmp_path)
         rc = main(["expand", "--config", str(cfgp),
@@ -437,6 +460,36 @@ class TestGuards:
         rc = main(["sim", "--config", str(cfgp), "--out", str(out)])
         assert rc == 4
 
+    def test_random_delays_can_leave_the_controller_domain(self, tmp_path,
+                                                           capsys):
+        """Random actuation delays lie outside the model's oldest-input
+        step, so the refinement guarantee lapses: this loop reaches a
+        register state that its mode does not cover, a clean exit 4."""
+        cfgp = toy_config(tmp_path, **{
+            "plant.grid": {"lb": [0], "ub": [6], "eta": [1]},
+            "plant.input_grid": {"lb": [-1], "ub": [1], "eta": [1]},
+            "delays": {"nsc_min": 1, "nsc_max": 2, "nca_min": 1, "nca_max": 2},
+            "spec": {"kind": "gen_buchi", "targets": [[[1], [1]], [[5], [5]]]},
+            "sim": {"steps": 200, "x0": [3], "seed": 1,
+                    "channel_mode": "random"}})
+        out = tmp_path / "out"
+        rc = main(["run", "--unsafe", "--config", str(cfgp), "--out", str(out)])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            "error: step 6: controller mode 0 has no input for the expanded "
+            "state with newest measurement (0,)")
+        assert "Traceback" not in err
+        assert not (out / "trace.csv").exists()
+
+    def test_seed_flag_refused(self, capsys):
+        # the simulation seed is `sim.seed` of the config alone
+        for command in ("sim", "run"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--seed", "1", "--config", "c.json"])
+            assert exc.value.code == 2
+            assert "--seed" in capsys.readouterr().err
+
 
 class TestInspectCommands:
     def test_fsm_dump_explore(self, tmp_path, capsys, monkeypatch):
@@ -499,6 +552,27 @@ class TestInspectCommands:
         art = capsys.readouterr().out.strip().splitlines()
         assert len(art) == 6 and all(len(row) == 6 for row in art)
         assert "#" in "".join(art)
+
+
+class TestImports:
+    def test_exact_pipeline_loads_neither_numpy_nor_scipy(self, tmp_path):
+        """Only plants with a growth matrix import numpy and scipy: a fresh
+        interpreter loads neither for the CLI, nor for the toy pipeline."""
+        code = (
+            "import sys\n"
+            "from ncsynth.cli import main\n"
+            "heavy = {'numpy', 'scipy'}\n"
+            "assert not heavy & set(sys.modules), heavy & set(sys.modules)\n"
+            f"assert main(['run', '--config', {str(CONFIGS / 'toy.json')!r},"
+            f" '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "assert not heavy & set(sys.modules), heavy & set(sys.modules)\n")
+        src = str(Path(__file__).parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "toyctl.c").exists()
 
 
 class TestStreams:

@@ -266,6 +266,27 @@ class TestModeProgression:
         assert sum(1 for v in xs if v <= 1) >= 2
 
 
+class TestDelayRegisterDefaults:
+    def test_modes_and_goals_are_cylinders_over_the_delay_registers(self):
+        """The closed loop encodes the delay registers at the channel
+        maxima (`encode_state`'s defaults), also with time-varying delays.
+        That is exact: within the state domain no mode relation or goal
+        depends on them, so every register value gets the same answer."""
+        from ncsynth.synthesis import solve_gen_buchi
+        plant, ts, model = line_setup(n=6, bounds=(1, 2, 1, 2))
+        ends = [ts.pre_set.empty().add_box((1.0,), (1.0,)),
+                ts.pre_set.empty().add_box((5.0,), (5.0,))]
+        c = solve_gen_buchi(model, [expand_spec_set(t, model) for t in ends])
+        assert len(c.modes) == 2
+        lay = model.layout
+        delay_vars = [v for reg in lay.dsc_pre + lay.dca_pre for v in reg]
+        # the relation reads them; the winning predicates do not
+        assert set(delay_vars) & set(model.trans.support())
+        for f in c.mode_relations() + [m.goal for m in c.modes]:
+            assert not f.is_false
+            assert f == f.exists(delay_vars) & model.state_domain
+
+
 @pytest.fixture(scope="class")
 def buchi_line():
     """Two-mode gen_buchi controller on the 1-D line at delays (2,2,1,1):
