@@ -7,7 +7,10 @@ mode controller), a 500-step closed-loop run, and code emission.  Prints
 a coverage map and a visit summary at the end.
 
 Expect about a minute of synthesis time (about 65 s on a 2-core machine);
-everything is exact, there is no sampling involved.
+everything is exact, there is no sampling involved.  Each stage runs
+through `ncsynth.cli.main`, so a failing stage ends the script with the
+`ncsynth` exit code and message (6 and the stage name when it runs out
+of memory).
 """
 
 import argparse
@@ -18,9 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ncsynth.cli import (cmd_abstract, cmd_codegen, cmd_expand, cmd_sim,
-                         cmd_synth)
-from ncsynth.config import RunConfig
+from ncsynth import cli
 from ncsynth.inspect_tools import cont_coverage
 from ncsynth.modelio import load_controller
 from ncsynth.simulate import load_trace_json
@@ -35,17 +36,14 @@ def main():
                     help="print the controller coverage map")
     args = ap.parse_args()
 
-    cfg = RunConfig.from_file(args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     t0 = time.monotonic()
-    cmd_abstract(cfg, out)
-    cmd_expand(cfg, out)
-    cmd_synth(cfg, out)
-    build_time = time.monotonic() - t0
-    cmd_sim(cfg, out)
-    cmd_codegen(cfg, out)
+    for stage in cli.STAGES:
+        rc = cli.main([stage, "--config", args.config, "--out", args.out])
+        if rc:
+            sys.exit(rc)
+        if stage == "synth":
+            build_time = time.monotonic() - t0
     print(f"\nmodel + controller construction: {build_time:.1f} s")
 
     trace = load_trace_json(out / "trace.json")

@@ -9,21 +9,25 @@ product and is injected here as one point box per cell.
 
 The full 16x16 configuration uses the published target/obstacle numbers;
 its synthesis takes many hours in this pure-Python engine.  --demo runs
-a 6x6 arena with a central block per robot instead, which finishes in
-minutes and exercises exactly the same pipeline.
+a 6x6 arena with a central block per robot instead, which exercises
+exactly the same pipeline; under a 4 GB memory cap it finishes the
+abstraction and the expansion, then runs out of memory in synthesis.
+
+The config actually run is written to <out>/config.json.  Each stage
+runs through `ncsynth.cli.main`, so a failing stage ends the script with
+the `ncsynth` exit code and message (6 and the stage name when it runs
+out of memory).
 """
 
 import argparse
 import json
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ncsynth.cli import cmd_abstract, cmd_codegen, cmd_expand, cmd_sim, cmd_synth
-from ncsynth.config import RunConfig
+from ncsynth import cli
 
 DEMO_ARENA = 5
 DEMO_SPEC = {
@@ -64,20 +68,18 @@ def main():
         for j in range(top + 1):
             raw["spec"]["obstacles"].append([[i, j, i, j], [i, j, i, j]])
 
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
-        json.dump(raw, fh)
-        cfg_path = fh.name
-    cfg = RunConfig.from_file(cfg_path)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    cfg_path = out / "config.json"
+    cfg_path.write_text(json.dumps(raw))
 
     t0 = time.monotonic()
-    cmd_abstract(cfg, out)
-    cmd_expand(cfg, out)
-    cmd_synth(cfg, out)
-    print(f"construction + synthesis: {time.monotonic() - t0:.1f} s")
-    cmd_sim(cfg, out)
-    cmd_codegen(cfg, out)
+    for stage in cli.STAGES:
+        rc = cli.main([stage, "--config", str(cfg_path), "--out", args.out])
+        if rc:
+            sys.exit(rc)
+        if stage == "synth":
+            print(f"construction + synthesis: {time.monotonic() - t0:.1f} s")
 
 
 if __name__ == "__main__":

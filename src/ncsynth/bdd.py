@@ -15,8 +15,10 @@ uses the dual product `forall_or` against a negated relation formed
 once), so O(1) negation would buy little, and in CPython the parity
 bookkeeping it adds to every recursive step cost more than it saved (see
 ROADMAP, direction 1).  Plain edges also keep ``_nodes[ref]`` a
-``(var, lo, hi)`` triple with ROBDD semantics, which the file writer and
-the code emitters read directly.
+``(var, lo, hi)`` triple with ROBDD semantics.  `Manager.postorder` lists
+a diagram's nodes children first; `support`, `sat_count`,
+`import_function`, the file writer and the code emitters fold over that
+list, so none of them recurses.
 """
 
 from __future__ import annotations
@@ -595,23 +597,14 @@ class Manager:
         self._entry()
         for t in var_map.values():
             self._check_var(t)
-        memo = {0: 0, 1: 1}
-        src_nodes = src._nodes
-
-        def rec(r):
-            got = memo.get(r)
-            if got is not None:
-                return got
-            v, lo, hi = src_nodes[r]
-            try:
-                nv = var_map[v]
-            except KeyError:
-                raise BddError(f"variable {v} of source not in import map") from None
-            res = self._relabel(nv, rec(lo), rec(hi))
-            memo[r] = res
-            return res
-
-        return Bdd(self, rec(f.ref))
+        nodes = src._nodes
+        got = {0: 0, 1: 1}
+        for r in src.postorder([f.ref]):
+            v, lo, hi = nodes[r]
+            if v not in var_map:
+                raise BddError(f"variable {v} of source not in import map")
+            got[r] = self._relabel(var_map[v], got[lo], got[hi])
+        return Bdd(self, got[f.ref])
 
     # ------------------------------------------------------------------
     # evaluation, restriction, counting
@@ -655,51 +648,46 @@ class Manager:
             r = hi if bit else lo
         return r == TRUE
 
+    def postorder(self, refs):
+        """The internal nodes under the roots `refs`, children first: roots
+        in order, lo before hi, each shared node once."""
+        nodes = self._nodes
+        order = []
+        seen = {0, 1}
+        for root in refs:
+            stack = [root]
+            while stack:
+                r = stack.pop()
+                if r < 0:
+                    order.append(~r)    # both children are listed
+                elif r not in seen:
+                    seen.add(r)
+                    _, lo, hi = nodes[r]
+                    stack += (~r, hi, lo)
+        return order
+
     def support(self, f):
         """Set of variables the function actually depends on."""
         self._check_owned(f)
-        seen = set()
-        vars = set()
-        stack = [f.ref]
         nodes = self._nodes
-        while stack:
-            r = stack.pop()
-            if r <= 1 or r in seen:
-                continue
-            seen.add(r)
-            v, lo, hi = nodes[r]
-            vars.add(v)
-            stack.append(lo)
-            stack.append(hi)
-        return vars
+        return {nodes[r][0] for r in self.postorder([f.ref])}
 
     def sat_count(self, f, support):
         """Number of assignments of `support` satisfying f (exact int)."""
         self._check_owned(f)
-        sup = self._norm_vars(support)
-        need = self.support(f)
-        if not need.issubset(sup):
-            missing = sorted(need.difference(sup))
-            raise BddError(f"support too small, missing variables {missing}")
-        pos = {v: i for i, v in enumerate(sup)}
-        n = len(sup)
+        sup = set(self._norm_vars(support))
         nodes = self._nodes
-        memo = {}
-
-        def count_from(r, i):
-            if r == 1:
-                return 1 << (n - i)
-            if r == 0:
-                return 0
-            j = pos[nodes[r][0]]
-            c = memo.get(r)
-            if c is None:
-                _, lo, hi = nodes[r]
-                c = count_from(lo, j + 1) + count_from(hi, j + 1)
-                memo[r] = c
-            return c << (j - i)
-
-        return count_from(f.ref, 0)
+        # count[r]: assignments of the whole support satisfying r.  Neither
+        # child of r reads r's variable, so halving their sum fixes it.
+        count = {0: 0, 1: 1 << len(sup)}
+        order = self.postorder([f.ref])
+        for r in order:
+            v, lo, hi = nodes[r]
+            if v not in sup:
+                missing = sorted({nodes[q][0] for q in order} - sup)
+                raise BddError(f"support too small, missing variables {missing}")
+            count[r] = (count[lo] + count[hi]) >> 1
+        return count[f.ref]
 
     def cubes(self, f, support):
         """Yield satisfying assignments as bit tuples aligned with `support`

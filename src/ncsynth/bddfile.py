@@ -41,27 +41,11 @@ def canonical_meta_bytes(meta):
 
 
 def node_order(mgr, refs):
-    """The internal nodes under the roots `refs`, children first: roots in
-    order, lo before hi, each shared node once.  Returns (order, ids),
-    where ids maps a node to its id in this format (order[i] gets i + 2)
-    and the FALSE/TRUE terminals to 0/1."""
-    order = []
-    ids = {0: 0, 1: 1}
-    for root in refs:
-        stack = [(root, False)]
-        while stack:
-            ref, done = stack.pop()
-            if ref in ids:
-                continue
-            _, lo, hi = mgr._nodes[ref]
-            if done:
-                ids[ref] = len(order) + 2
-                order.append(ref)
-            else:
-                stack.append((ref, True))
-                stack.append((hi, False))
-                stack.append((lo, False))
-    return order, ids
+    """`mgr.postorder(refs)` with the ids of this format.  Returns (order,
+    ids), where ids maps a node to its id (order[i] gets i + 2) and the
+    FALSE/TRUE terminals to 0/1."""
+    order = mgr.postorder(refs)
+    return order, dict(zip([0, 1] + order, range(len(order) + 2)))
 
 
 def save(bdd, meta, path):

@@ -4,7 +4,7 @@ The controller relation is first restricted to one input per state (the
 smallest packed binary input code, a reproducible stand-in for "first
 available"), then split into one boolean function per input bit.  Both
 back ends share one numbering of the diagram nodes under a mode's bit
-functions and domain, that of the `.bdd` format (`bddfile.node_order`:
+functions and domain, that of the `.bdd` format (`Manager.postorder`:
 children first, ids 0/1 for FALSE/TRUE, node i has id i + 2).  The C is
 a `static const` table of (state-word bit, lo id, hi id) rows indexed by
 that id, walked by one loop; the Verilog is a netlist with one ternary
@@ -59,29 +59,22 @@ def decompose_outputs(mgr, rel, pre_vars, input_vars):
     return [mgr.exist_and(rel, mgr.var(w), input_vars) for w in input_vars]
 
 
-def _state_bit_positions(mgr, roots, pre_vars):
-    pos = {v: i for i, v in enumerate(pre_vars)}
-    for root in roots:
-        for v in mgr.support(root):
-            if v not in pos:
-                raise CodegenError(f"function depends on variable {v}, which "
-                                   f"is not a state variable")
-    return pos
-
-
 def _node_table(bit_funcs, domain, pre_vars):
     """The numbering both back ends share: one (state-word bit, lo id, hi
     id) row per node under the bit functions and the domain, row i having
     id i + 2, and the ids of those roots, domain last."""
     mgr = domain.mgr
-    roots = list(bit_funcs) + [domain]
-    pos = _state_bit_positions(mgr, roots, pre_vars)
-    order, ids = node_order(mgr, [r.ref for r in roots])
+    roots = [r.ref for r in bit_funcs] + [domain.ref]
+    pos = {v: i for i, v in enumerate(pre_vars)}
+    order, ids = node_order(mgr, roots)
     rows = []
     for ref in order:
         var, lo, hi = mgr._nodes[ref]
+        if var not in pos:
+            raise CodegenError(f"function depends on variable {var}, which "
+                               f"is not a state variable")
         rows.append((pos[var], ids[lo], ids[hi]))
-    return rows, [ids[r.ref] for r in roots]
+    return rows, [ids[r] for r in roots]
 
 
 _ROWS_PER_LINE = 8

@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncsynth.bdd import Bdd, BddError, Manager
+from ncsynth.bdd import FALSE, TRUE, Bdd, BddError, Manager
+from ncsynth.bddfile import load, save
 from ncsynth.synthesis import cpre
 
 from conftest import build_explicit_ts
@@ -378,3 +379,43 @@ def test_rename_swap_blocks():
     f = mgr.var(0) & ~mgr.var(2)
     swapped = f.rename({0: 2, 2: 0})
     assert swapped == (mgr.var(2) & ~mgr.var(0))
+
+
+class TestReaderChecks:
+    def test_import_map_misses_a_variable(self):
+        src, dst = fresh(3), fresh(3)
+        f = src.var(0) & src.var(2)
+        with pytest.raises(BddError, match="variable 2 of source"):
+            dst.import_function(f, {0: 0, 1: 1})
+
+    @pytest.mark.parametrize("support", [
+        (0, 1, 3, 5), (1, 2, 3, 5), (1, 3, 5, 6), (0, 1, 2, 3, 4, 5, 6)],
+        ids=["gap_top", "gap_middle", "gap_bottom", "gaps_everywhere"])
+    def test_sat_count_over_a_wider_support(self, support):
+        rng = random.Random(13)
+        mgr = fresh(7)
+        pool = _operand_pool(rng, 3, 10)
+        for tt in pool:
+            f = mgr.from_minterms((1, 3, 5), tt_to_codes(tt, 3))
+            assert f.sat_count(support) == tt_count(tt) << (len(support) - 3)
+
+
+def test_deep_diagrams_need_no_recursion(tmp_path):
+    # a chain of 1,500 variables is deeper than Python's default recursion
+    # limit; the OR is built bottom up with _make, because `|` recurses
+    n = 1500
+    mgr = fresh(n)
+    ref = FALSE
+    for v in reversed(range(n)):
+        ref = mgr._make(v, ref, TRUE)
+    bits = {v: v % 2 for v in range(n)}
+    for f, count in ((mgr.cube(bits), 1), (Bdd(mgr, ref), (1 << n) - 1)):
+        assert f.support() == set(range(n))
+        assert f.sat_count(range(n)) == count
+        other = fresh(n)
+        g = other.import_function(f, {v: v for v in range(n)})
+        assert other.node_count() == n
+        assert g.sat_count(range(n)) == count
+        save(f, {}, tmp_path / "deep.bdd")
+        back, _ = load(tmp_path / "deep.bdd", manager=other)
+        assert back == g

@@ -348,3 +348,11 @@ class TestStateWordLayout:
                 assert c_dom(word) == (u is not None)
                 if u is not None:
                     assert c_ctrl(word) == u
+
+
+@pytest.mark.parametrize("emit", [emit_c, emit_verilog])
+def test_non_state_variable_refused(emit):
+    mgr = Manager()
+    mgr.add_vars(3)
+    with pytest.raises(CodegenError, match="variable 2, which is not a state"):
+        emit("x", [mgr.var(0) & mgr.var(2)], mgr.var(0), [0, 1])
