@@ -73,7 +73,7 @@ def main():
     if args.coverage:
         ctrl, _ = load_controller(out / "controller.bdd")
         print("\ncontroller coverage (newest measurement register):")
-        print(cont_coverage(ctrl, ctrl.model))
+        print(cont_coverage(ctrl))
 
 
 if __name__ == "__main__":

@@ -587,7 +587,7 @@ class Manager:
         return self._ite(self._make(v, FALSE, TRUE), hi, lo)
 
     def import_function(self, f, var_map):
-        """Copy a function from another manager, relabeling per var_map.
+        """Copy a function of any manager, relabeling per var_map.
 
         var_map must cover the whole support of f.
         """

@@ -149,11 +149,12 @@ def cmd_expand(cfg, out_dir):
     return outputs[0]
 
 
-def _spec_sets(cfg, base, model):
-    """Lift configured boxes to predicates over the expanded state set:
-    one target per box for gen_buchi, else one of their union, lifted once
-    (lifting commutes with union)."""
-    empty = base.pre_set.empty()
+def _spec_sets(cfg, model):
+    """Configured boxes as predicates over the expanded state set: each box
+    is built on the cells of the newest state register
+    (`model.anchor_set`) and lifted; one target per box for gen_buchi,
+    else one of their union, lifted once (lifting commutes with union)."""
+    empty = model.anchor_set.empty()
     boxes = cfg.spec.targets
     groups = ([[box] for box in boxes] if cfg.spec.kind == "gen_buchi"
               else [boxes])
@@ -170,12 +171,9 @@ def _spec_sets(cfg, base, model):
 
 def cmd_synth(cfg, out_dir):
     t0 = time.monotonic()
-    ncs_path, plant_path = _inputs(out_dir, "ncs.bdd", "plant.bdd")
+    ncs_path, = _inputs(out_dir, "ncs.bdd")
     model, ncs_meta = load_ncs_model(ncs_path)
-    base, plant_meta = load_plant_model(plant_path)
-    # spec boxes live on the plant grid; rebuild them against the plant
-    # file's variable numbering, then lift into the expanded space
-    targets, safe = _spec_sets(cfg, base, model)
+    targets, safe = _spec_sets(cfg, model)
 
     kind = cfg.spec.kind
     if kind == "safety":
@@ -200,9 +198,8 @@ def cmd_synth(cfg, out_dir):
     outputs = [] if ctrl.is_empty else save_controller(
         ctrl, Path(out_dir) / "controller.bdd",
         {"spec_kind": kind, "name": cfg.codegen.name})
-    _write_manifest(out_dir, "synth", cfg,
-                    [(ncs_path, ncs_meta), (plant_path, plant_meta)],
-                    outputs, sizes, t0)
+    _write_manifest(out_dir, "synth", cfg, [(ncs_path, ncs_meta)], outputs,
+                    sizes, t0)
     if ctrl.is_empty:
         raise EmptyController(f"{kind} specification is not enforceable on "
                               f"this model (empty controller)")
@@ -287,7 +284,7 @@ def cmd_coverage(path, dims):
     if len(dims) != 2:
         raise UsageError("--dims takes exactly two dimensions")
     ctrl, meta = load_controller(path)
-    print(inspect_tools.cont_coverage(ctrl, ctrl.model, dims=dims))
+    print(inspect_tools.cont_coverage(ctrl, dims=dims))
 
 
 def cmd_explore(path, controller_path=None):

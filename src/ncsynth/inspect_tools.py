@@ -119,11 +119,12 @@ def bdd_dump(path):
     return "\n".join(lines)
 
 
-def cont_coverage(controller, model, dims=(0, 1)):
+def cont_coverage(controller, dims=(0, 1)):
     """contCoverage: ASCII map of the controller domain over two state
-    dimensions ('#': covered, '.': not); remaining variables are
-    existentially projected.  For expanded models the newest state
+    dimensions of its model ('#': covered, '.': not); remaining variables
+    are existentially projected.  For expanded models the newest state
     register is shown."""
+    model = controller.model
     grid = model.state_grid
     if grid.dim < 2:
         raise ValueError("coverage maps need at least two state dimensions")
@@ -171,27 +172,14 @@ def explore_model(model, state, input_sequence):
     return out
 
 
-def explore_controller(controller, model, state):
-    """Admissible input index vectors at a state, or None when the state
-    is outside the controller domain.  `model` must have the controller's
-    state variables, as `controller.model` does."""
-    if tuple(model.pre_vars) != tuple(controller.pre_vars):
-        raise ValueError(f"the controller is over the {_label(controller.model)}"
-                         f", not the {_label(model)}")
+def explore_controller(controller, state):
+    """Admissible input index vectors at a state row of the controller's
+    model, or None when the state is outside the controller domain."""
+    model = controller.model
     codes = controller.admissible_inputs(model.encode_row(state))
     if not codes:
         return None
     return [model.input_grid.unpack(code) for code in codes]
-
-
-def _label(model):
-    if model is None:
-        return "unknown model"
-    if model.bounds is None:
-        return f"plant model {model.name!r}"
-    b = model.bounds
-    return (f"expanded model of {model.base_name!r} at delays "
-            f"({b.nsc_min}, {b.nsc_max}, {b.nca_min}, {b.nca_max})")
 
 
 def explorer_repl(model, controller=None, stdin=None, stdout=None):
@@ -220,8 +208,7 @@ def explorer_repl(model, controller=None, stdin=None, stdout=None):
                     print("no controller loaded", file=stdout)
                     continue
                 state = [int(t) for t in line[1:].split()]
-                inputs = explore_controller(controller, controller.model,
-                                            state)
+                inputs = explore_controller(controller, state)
                 if inputs is None:
                     print("no input", file=stdout)
                 else:

@@ -264,7 +264,7 @@ def solve_gen_buchi(model, targets, safe=None):
     outer = 0
 
     def reentry(i):
-        into_next = cpre(model, domains[(i + 1) % m] & safe_pairs)
+        into_next = cpre(model, domains[(i + 1) % m])
         return _pairs(model, targets[i]) & into_next & safe_pairs
 
     # the sweep that confirms the fixed point already recomputes every

@@ -16,7 +16,8 @@ from ncsynth.config import ConfigError, RunConfig
 from ncsynth.modelio import load_controller, load_ncs_model, load_plant_model
 from ncsynth.ncs import expand_spec_set
 from ncsynth.simulate import load_trace_json
-from ncsynth.synthesis import solve_persistence, solve_reach, solve_recurrence
+from ncsynth.synthesis import (solve_gen_buchi, solve_persistence,
+                                solve_reach, solve_recurrence)
 from oracles import trace_csv_text
 
 CONFIGS = Path(__file__).parent.parent / "configs"
@@ -250,7 +251,22 @@ class TestToyPipeline:
         synth_manifest = json.loads((out / "synth.manifest.json").read_text())
         assert synth_manifest["sizes"]["empty"] is False
         assert synth_manifest["inputs"]
-        assert str(out / "plant.bdd") in synth_manifest["inputs"]
+        assert str(out / "plant.bdd") not in synth_manifest["inputs"]
+
+    def test_synth_reads_only_the_expanded_model(self, tmp_path):
+        cfgp = gen_buchi_config(tmp_path)
+        outs = [tmp_path / "kept", tmp_path / "deleted"]
+        for out in outs:
+            for stage in ("abstract", "expand"):
+                assert main([stage, "--config", str(cfgp),
+                             "--out", str(out)]) == 0
+        (outs[1] / "plant.bdd").unlink()
+        for out in outs:
+            assert main(["synth", "--config", str(cfgp), "--out", str(out)]) == 0
+        kept, deleted = ({p.name: p.read_bytes() for p in out.iterdir()
+                          if p.name.startswith("controller.")} for out in outs)
+        assert "controller.bdd" in kept
+        assert kept == deleted
 
     def test_codegen_bytes_follow_from_the_controller_file(self, tmp_path):
         # the header facts (sampling period, delays, register bits) are
@@ -360,6 +376,35 @@ class TestToyPipeline:
             ctrl = solve_recurrence(model, target)
         saved, _ = load(out / "controller.bdd", manager=model.mgr)
         assert saved == ctrl.relation
+
+    def test_gen_buchi_modes_on_a_grid_with_a_marker_flag_bit(self, tmp_path):
+        # every point count is a power of two, so the state registers carry
+        # a flag bit past the grid bits, which the anchor cells leave out
+        cfgp = CONFIGS / "buchi.json"
+        spec = json.loads(cfgp.read_text())["spec"]
+        out = tmp_path / "out"
+        for stage in ("abstract", "expand", "synth"):
+            assert main([stage, "--config", str(cfgp), "--out", str(out)]) == 0
+        base, _ = load_plant_model(out / "plant.bdd")
+        model, _ = load_ncs_model(out / "ncs.bdd")
+        lay = model.layout
+        assert lay.state_bits == lay.state_grid.total_bits + 1
+        assert model.anchor_set.block == lay.x_pre[0][:-1]
+        empty = base.pre_set.empty()
+
+        def lift(boxes):
+            return expand_spec_set(empty.add_boxes(boxes), model)
+
+        targets = [lift([box]) for box in spec["targets"]]
+        safe = (lift(spec["safe"]) & model.state_domain
+                & ~lift(spec["obstacles"]))
+        ctrl = solve_gen_buchi(model, targets, safe=safe)
+        sidecar = json.loads((out / "controller.modes.json").read_text())
+        assert len(sidecar["modes"]) == len(ctrl.modes) == 2
+        for entry, mode in zip(sidecar["modes"], ctrl.modes):
+            for key, f in (("relation", mode.relation), ("goal", mode.goal)):
+                saved, _ = load(out / entry[key], manager=model.mgr)
+                assert saved == f, entry[key]
 
     def test_persistence_controller_is_the_solver_on_the_safe_box(
             self, tmp_path):

@@ -118,7 +118,7 @@ class TestCoverage:
     def test_full_domain_all_hash(self):
         _, ts = planar_model(4)
         c = solve_safety(ts, ts.state_domain)
-        art = cont_coverage(c, ts)
+        art = cont_coverage(c)
         lines = art.splitlines()
         assert len(lines) == 5 and all(len(l) == 5 for l in lines)
         assert set("".join(lines)) == {"#"}
@@ -126,14 +126,14 @@ class TestCoverage:
     def test_empty_all_dots(self):
         _, ts = planar_model(4)
         c = solve_safety(ts, ts.mgr.false)
-        art = cont_coverage(c, ts)
+        art = cont_coverage(c)
         assert set("".join(art.splitlines())) == {"."}
 
     def test_obstacle_holes_match_boxes(self):
         obstacles = [((2.0, 2.0), (3.0, 4.0))]
         _, ts = planar_model(6, obstacles)
         c = solve_safety(ts, ts.state_domain)
-        art = cont_coverage(c, ts)
+        art = cont_coverage(c)
         lines = art.splitlines()
         # row for y = j is lines[npoints-1-j]
         for j in range(7):
@@ -149,7 +149,7 @@ class TestCoverage:
         ts = build_explicit_ts(mgr, 4, 2, {(0, 0): {1}})
         c = solve_safety(ts, ts.state_domain)
         with pytest.raises(ValueError):
-            cont_coverage(c, ts)
+            cont_coverage(c)
 
 
 class TestExplorer:
@@ -173,7 +173,7 @@ class TestExplorer:
         _, ts = planar_model(6)
         target = ts.pre_set.empty().add_box((5.0, 5.0), (6.0, 6.0))
         c = solve_reach(ts, target.chi)
-        inputs = explore_controller(c, ts, (4, 4))
+        inputs = explore_controller(c, (4, 4))
         assert inputs and (2, 2) in inputs
 
     def test_out_of_domain_says_no_input(self):
@@ -181,24 +181,26 @@ class TestExplorer:
         target = ts.pre_set.empty().add_box((5.0, 5.0), (6.0, 6.0))
         c = solve_reach(ts, target.chi)
         blocked = solve_safety(ts, ts.mgr.false)
-        assert explore_controller(blocked, ts, (4, 4)) is None
+        assert explore_controller(blocked, (4, 4)) is None
 
-    def test_controller_of_another_model_refused(self):
-        # the plant model's state bits are not those of the expanded model
-        # the controller was synthesized on
+    def test_expanded_controller_reads_its_own_model(self):
+        # rows and coverage cells are those of the expanded model the
+        # controller was synthesized on: its newest state register
         _, ts = planar_model(6)
         model = expand(ts, DelayBounds(1, 1, 1, 1))
         target = expand_spec_set(
             ts.pre_set.empty().add_box((5.0, 5.0), (6.0, 6.0)), model)
         c = solve_reach(model, target)
         assert c.model is model
-        with pytest.raises(ValueError) as err:
-            explore_controller(c, ts, (4, 4))
-        msg = str(err.value)
-        assert f"plant model {ts.name!r}" in msg
-        assert f"expanded model of {ts.name!r} at delays (1, 1, 1, 1)" in msg
         row = (4, 4, 1, 1, 1, 1)    # x1, u1 (held input: stay), dsc1, dca1
-        assert explore_controller(c, model, row) == [(2, 2)]
+        assert explore_controller(c, row) == [(2, 2)]
+        lines = cont_coverage(c).splitlines()
+        assert len(lines) == 7 and all(len(l) == 7 for l in lines)
+        for j in range(7):
+            for i in range(7):
+                cell = model.anchor_set.empty().add_box((i, j), (i, j)).chi
+                covered = not (c.domain & cell).is_false
+                assert lines[6 - j][i] == ("#" if covered else "."), (i, j)
 
     def test_repl_protocol(self):
         _, ts = planar_model(6)
