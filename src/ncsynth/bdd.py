@@ -18,12 +18,14 @@ ROADMAP, direction 1).  Plain edges also keep ``_nodes[ref]`` a
 ``(var, lo, hi)`` triple with ROBDD semantics.  `Manager.postorder` lists
 a diagram's nodes children first; `support`, `sat_count`,
 `import_function`, the file writer and the code emitters fold over that
-list, so none of them recurses.
+list, so none of them recurses, and `collect` marks the live nodes with
+it.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 
 FALSE = 0
 TRUE = 1
@@ -62,7 +64,7 @@ class Manager:
         self.var_count = var_count
         self._nodes = {}    # ref -> (var, lo, hi)
         self._unique = {}   # (var, lo, hi) -> ref
-        self._next = 2      # refs 0/1 reserved for FALSE/TRUE
+        self._refs = itertools.count(2)     # 0/1 are FALSE/TRUE
         table = dict if cache_enabled else _Uncached
         self._and_cache = table()       # (f, g) -> ref, f < g
         self._or_cache = table()        # (f, g) -> ref, f < g
@@ -88,9 +90,7 @@ class Manager:
         key = (var, lo, hi)
         ref = self._unique.get(key)
         if ref is None:
-            ref = self._next
-            self._next = ref + 1
-            self._unique[key] = ref
+            ref = self._unique[key] = next(self._refs)
             self._nodes[ref] = key
         return ref
 
@@ -99,10 +99,7 @@ class Manager:
         return len(self._nodes)
 
     def _entry(self):
-        held = len(self._nodes)
-        for table in self._tables:
-            held += len(table)
-        if held > self._gc_threshold:
+        if len(self._nodes) + sum(map(len, self._tables)) > self._gc_threshold:
             self.collect()
 
     def _pin(self, ref):
@@ -129,21 +126,13 @@ class Manager:
     def collect(self):
         """Sweep nodes unreachable from pinned roots; drops the computed
         tables."""
-        nodes = self._nodes
-        live = set()
-        stack = list(self._pins)
-        while stack:
-            r = stack.pop()
-            if r <= 1 or r in live:
-                continue
-            live.add(r)
-            _, lo, hi = nodes[r]
-            stack.append(lo)
-            stack.append(hi)
-        self._nodes = {r: nodes[r] for r in live}
-        self._unique = {k: r for r, k in self._nodes.items()}
+        # the tables go first, so that the rebuilt store reuses their memory
         for table in self._tables:
             table.clear()
+        nodes = self._nodes
+        live = self.postorder(self._pins)
+        self._nodes = {r: nodes[r] for r in live}
+        self._unique = {k: r for r, k in self._nodes.items()}
         # right after a sweep the live nodes are all the entries held; back
         # off when they fill most of the budget, otherwise the computed
         # tables would be wiped on every operation
@@ -253,9 +242,7 @@ class Manager:
             node = (v, lo, hi)
             r = self._unique.get(node)
             if r is None:
-                r = self._next
-                self._next = r + 1
-                self._unique[node] = r
+                r = self._unique[node] = next(self._refs)
                 nodes[r] = node
         cache[key] = r
         return r
@@ -307,9 +294,7 @@ class Manager:
             node = (v, lo, hi)
             r = self._unique.get(node)
             if r is None:
-                r = self._next
-                self._next = r + 1
-                self._unique[node] = r
+                r = self._unique[node] = next(self._refs)
                 nodes[r] = node
         cache[key] = r
         return r
@@ -381,9 +366,7 @@ class Manager:
             node = (v, lo, hi)
             r = self._unique.get(node)
             if r is None:
-                r = self._next
-                self._next = r + 1
-                self._unique[node] = r
+                r = self._unique[node] = next(self._refs)
                 nodes[r] = node
         cache[key] = r
         return r
@@ -481,9 +464,7 @@ class Manager:
                 node = (v, lo, hi)
                 r = self._unique.get(node)
                 if r is None:
-                    r = self._next
-                    self._next = r + 1
-                    self._unique[node] = r
+                    r = self._unique[node] = next(self._refs)
                     nodes[r] = node
         cache[key] = r
         return r
@@ -534,22 +515,13 @@ class Manager:
                 node = (v, lo, hi)
                 r = self._unique.get(node)
                 if r is None:
-                    r = self._next
-                    self._next = r + 1
-                    self._unique[node] = r
+                    r = self._unique[node] = next(self._refs)
                     nodes[r] = node
         cache[key] = r
         return r
 
     # ------------------------------------------------------------------
     # renaming
-
-    def _map_token(self, items):
-        tok = self._map_tokens.get(items)
-        if tok is None:
-            tok = len(self._map_tokens)
-            self._map_tokens[items] = tok
-        return tok
 
     def rename(self, f, var_map):
         """Substitute variables per an injective map (simultaneously)."""
@@ -562,7 +534,7 @@ class Manager:
             self._check_var(s)
             self._check_var(t)
         self._entry()
-        tok = self._map_token(items)
+        tok = self._map_tokens.setdefault(items, len(self._map_tokens))
         return Bdd(self, self._rename(f.ref, dict(items), tok))
 
     def _rename(self, f, m, tok):
@@ -790,7 +762,7 @@ class Manager:
 class Bdd:
     """Handle to a function in a manager.  Pins its root while alive."""
 
-    __slots__ = ("mgr", "ref", "__weakref__")
+    __slots__ = ("mgr", "ref")
 
     def __init__(self, mgr, ref):
         self.mgr = mgr

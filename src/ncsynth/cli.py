@@ -4,11 +4,12 @@ simulation -> implementation code, plus the inspection helpers.
 Every stage reads and writes BDD files in the working directory given by
 --out, records a manifest (inputs, hashes, sizes, timings), and can be
 run independently or chained.  Exit codes: 0 ok, 2 configuration or usage
-error (including a model file of another variable layout and a controller
-too wide for the emitted C), 3 the synthesized controller is empty, 4 the
-simulation left the controller domain, 5 a BDD operation recursed past
-Python's recursion limit (the model is too deep; the message names the
-stage), 6 a stage ran out of memory (the message names the stage).
+error (including a model file of another variable layout, a controller
+too wide for the emitted C and a file-system error), 3 the synthesized
+controller is empty, 4 the simulation left the controller domain, 5 a BDD
+operation recursed past Python's recursion limit (the model is too deep;
+the message names the stage), 6 a stage ran out of memory (the message
+names the stage).
 stdout carries data only (dump, coverage, explore); progress and errors
 go to stderr.  A reader that closes stdout early (``ncsynth dump f |
 head``) ends the command quietly, with exit 0.
@@ -366,7 +367,7 @@ def main(argv=None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     except (EmptyController, DomainViolation, ConfigError, UsageError,
-            BddFileError, codegen_mod.CodegenError, FileNotFoundError,
+            BddFileError, codegen_mod.CodegenError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return {EmptyController: EXIT_EMPTY_CONTROLLER,

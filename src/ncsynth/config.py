@@ -67,8 +67,11 @@ def _vector(d, key, where, optional=False):
 
 
 def _boxes(d, key, where):
+    boxes = d.get(key, [])
+    if not isinstance(boxes, list):
+        raise ConfigError(f"{where}.{key}: expected a list of [lo, hi] boxes")
     out = []
-    for i, box in enumerate(d.get(key) or []):
+    for i, box in enumerate(boxes):
         tag = f"{where}.{key}[{i}]"
         if (not isinstance(box, list) or len(box) != 2):
             raise ConfigError(f"{tag}: expected [lo, hi] corner pair")

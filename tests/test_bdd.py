@@ -374,6 +374,32 @@ def test_explicit_pin_survives_collection():
     mgr.unpin(back)
 
 
+def test_sweep_doubles_a_budget_that_live_nodes_fill():
+    # 36 pinned single-variable nodes fill 90% of a budget of 40 entries;
+    # each OR of two of them adds a node and a computed-table entry
+    budget = 40
+    mgr = fresh(36, gc_threshold=budget)
+    keep = [mgr.var(i) for i in range(36)]
+    sweeps = []     # live nodes after each sweep
+    sweep = mgr.collect
+
+    def counted():
+        sweep()
+        sweeps.append(mgr.node_count())
+
+    mgr.collect = counted
+    for i in range(20):
+        assert (keep[i] | keep[i + 1]).support() == {i, i + 1}
+        if not sweeps:
+            continue
+        # the one sweep kept the 36 live nodes, more than 3/4 of the
+        # budget, so it doubled the budget, and no operation after it
+        # sweeps again
+        assert sweeps == [36] and mgr._gc_threshold == 2 * budget
+    assert len(sweeps) == 1 and mgr.node_count() > 36
+    assert [f.support() for f in keep] == [{i} for i in range(36)]
+
+
 def test_rename_swap_blocks():
     mgr = fresh(4)
     f = mgr.var(0) & ~mgr.var(2)

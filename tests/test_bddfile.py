@@ -124,3 +124,48 @@ def test_child_above_its_parent_refused(tmp_path, capsys):
         load(p)
     assert main(["dump", str(p)]) == 2
     assert "node 1" in capsys.readouterr().err
+
+
+def _raw_file(meta, var_count, nodes, root):
+    """The bytes of a BDD file with these fields, checked by nothing."""
+    return (b"SNSB" + struct.pack("<HI", 1, len(meta)) + meta
+            + struct.pack("<IQ", var_count, len(nodes))
+            + b"".join(struct.pack("<IQQ", *node) for node in nodes)
+            + struct.pack("<Q", root))
+
+
+@pytest.mark.parametrize("meta", [b"{not json", b"\xff\xfe"])
+def test_corrupt_metadata_refused(tmp_path, meta):
+    p = tmp_path / "meta.bdd"
+    p.write_bytes(_raw_file(meta, 1, [(0, 0, 1)], 2))
+    with pytest.raises(BddFileError, match="corrupt metadata"):
+        load(p)
+
+
+def test_node_variable_outside_the_declared_count_refused(tmp_path):
+    p = tmp_path / "var.bdd"
+    p.write_bytes(_raw_file(b"{}", 2, [(2, 0, 1)], 2))
+    with pytest.raises(BddFileError, match="node 0 references variable 2 "
+                                           "outside declared count 2"):
+        load(p)
+
+
+@pytest.mark.parametrize("node", [(0, 2, 1), (0, 0, 3)])
+def test_child_id_not_below_its_node_refused(tmp_path, node):
+    # node 0 gets id 2: a child id of 2 or more is itself or a later node
+    p = tmp_path / "child.bdd"
+    p.write_bytes(_raw_file(b"{}", 1, [node], 2))
+    with pytest.raises(BddFileError, match="node 0 is not in topological "
+                                           "order"):
+        load(p)
+
+
+def test_root_id_out_of_range_refused(tmp_path):
+    p = tmp_path / "root.bdd"
+    p.write_bytes(_raw_file(b"{}", 1, [(0, 0, 1)], 3))
+    with pytest.raises(BddFileError, match="root id 3 out of range"):
+        load(p)
+    # ids 0 and 1 are the terminals, 2 the one node
+    p.write_bytes(_raw_file(b"{}", 1, [(0, 0, 1)], 2))
+    f, meta = load(p)
+    assert meta == {} and f.support() == {0}

@@ -232,6 +232,113 @@ class TestConfigValidation:
         assert "error: spec.safe: " in capsys.readouterr().err
         assert not (out / "plant.bdd").exists()
 
+    @pytest.mark.parametrize("key", ["targets", "obstacles", "safe"])
+    @pytest.mark.parametrize("value", [5, False, 0, "[[3], [3]]", {}, None])
+    def test_spec_boxes_not_a_list_refused_before_any_stage(
+            self, tmp_path, capsys, key, value):
+        # 5 used to end in a TypeError traceback; false and 0 were read as
+        # no boxes
+        cfgp = toy_config(tmp_path, **{f"spec.{key}": value})
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfgp), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: spec.{key}: expected a list") \
+            and "Traceback" not in err
+        assert not (out / "plant.bdd").exists()
+
+    @staticmethod
+    def _refusal(tmp_path, capsys, raw):
+        """The error line of `run` on a config file holding `raw`."""
+        cfgp = tmp_path / "config.json"
+        cfgp.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfgp), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and "Traceback" not in err
+        assert not (out / "plant.bdd").exists()
+        return err
+
+    @pytest.mark.parametrize("dotted, expected", [
+        ("plant.name", "error: plant: missing required key 'name'"),
+        ("plant.tau", "error: plant: missing required key 'tau'"),
+        ("delays.nca_max", "error: delays: missing required key 'nca_max'"),
+        ("spec.kind", "error: spec: missing required key 'kind'"),
+        ("plant.grid.lb", "error: plant.grid: missing required key 'lb'"),
+        ("plant.input_grid.eta",
+         "error: plant.input_grid: missing required key 'eta'"),
+        ("sim.x0", "error: sim: missing required key 'x0'"),
+        ("plant", "error: missing required section 'plant'"),
+        ("spec", "error: missing required section 'spec'"),
+    ])
+    def test_missing_key_refused_before_any_stage(self, tmp_path, capsys,
+                                                  dotted, expected):
+        raw = json.loads((CONFIGS / "toy.json").read_text())
+        *parents, last = dotted.split(".")
+        node = raw
+        for part in parents:
+            node = node[part]
+        del node[last]
+        assert self._refusal(tmp_path, capsys, raw).startswith(expected)
+
+    @pytest.mark.parametrize("raw, expected", [
+        ([], "error: top level: expected a JSON object"),
+        ("toy", "error: top level: expected a JSON object"),
+        ({"plant": {}, "delays": {}, "spec": {}, "simulation": {}},
+         "error: unknown top-level keys: ['simulation']"),
+    ])
+    def test_top_level_refused_before_any_stage(self, tmp_path, capsys, raw,
+                                                expected):
+        assert self._refusal(tmp_path, capsys, raw).startswith(expected)
+
+    @pytest.mark.parametrize("box, expected", [
+        ([[3]], "expected [lo, hi] corner pair"),
+        ([[3], [3], [3]], "expected [lo, hi] corner pair"),
+        (3, "expected [lo, hi] corner pair"),
+        ([[3], [3, 0]], "corner dimensions differ"),
+    ])
+    def test_box_not_a_corner_pair_refused_before_any_stage(
+            self, tmp_path, capsys, box, expected):
+        err = self._refusal(tmp_path, capsys, json.loads(toy_config(
+            tmp_path, **{"spec.targets": [[[3], [3]], box]}).read_text()))
+        assert err.startswith(f"error: spec.targets[1]: {expected}")
+
+    @pytest.mark.parametrize("kind", ["safety", "persistence"])
+    def test_safety_without_safe_boxes_or_obstacles_refused(
+            self, tmp_path, capsys, kind):
+        # the toy has targets only
+        err = self._refusal(tmp_path, capsys, json.loads(toy_config(
+            tmp_path, **{"spec.kind": kind}).read_text()))
+        assert err.startswith(f"error: spec: kind {kind!r} requires safe "
+                              f"boxes or obstacles")
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("sim.channel_mode", "lossy",
+         "error: sim.channel_mode: unknown mode 'lossy'"),
+        ("codegen.targets", ["c", "vhdl"],
+         "error: codegen.targets: unknown target 'vhdl'"),
+    ])
+    def test_unknown_mode_or_target_refused_before_any_stage(
+            self, tmp_path, capsys, key, value, expected):
+        err = self._refusal(tmp_path, capsys, json.loads(toy_config(
+            tmp_path, **{key: value}).read_text()))
+        assert err.startswith(expected)
+
+    def test_file_system_errors_exit_2(self, tmp_path, capsys):
+        # each of these used to end in an OSError traceback with exit 1
+        cfgp = toy_config(tmp_path)
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        for argv in (["abstract", "--config", str(tmp_path),
+                      "--out", str(tmp_path / "out")],
+                     ["abstract", "--config", str(cfgp),
+                      "--out", str(not_a_dir)],
+                     ["dump", str(tmp_path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestToyPipeline:
     def test_full_chain_and_manifests(self, tmp_path, capsys):

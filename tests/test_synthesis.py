@@ -1,10 +1,14 @@
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncsynth import synthesis
+from ncsynth import bddfile, synthesis
 from ncsynth.bdd import Manager
+from ncsynth.cli import _spec_sets, main
+from ncsynth.config import RunConfig
+from ncsynth.modelio import make_shell_ncs_model, save_controller
 from ncsynth.synthesis import (Controller, SynthesisError, cpre,
                                solve_gen_buchi, solve_persistence,
                                solve_reach, solve_recurrence, solve_safety)
@@ -476,3 +480,36 @@ class TestStateLayers:
             assert new.relation == old.relation
             assert new.mode_relations() == old.mode_relations()
             assert new.stats == old.stats
+
+
+def test_gen_buchi_that_sweeps_saves_the_same_controller(tmp_path):
+    # configs/buchi.json solved in a manager whose budget forces kernel
+    # sweeps between operations writes the bytes `ncsynth synth` writes
+    # with the default budget, which never sweeps on this model
+    config = Path(__file__).parent.parent / "configs" / "buchi.json"
+    out = tmp_path / "out"
+    for stage in ("abstract", "expand", "synth"):
+        assert main([stage, "--config", str(config), "--out", str(out)]) == 0
+
+    mgr = Manager(gc_threshold=5000)
+    trans, meta = bddfile.load(out / "ncs.bdd", manager=mgr)
+    initial, _ = bddfile.load(out / "ncs.init.bdd", manager=mgr)
+    model = make_shell_ncs_model(meta, mgr, trans, initial)
+    cfg = RunConfig.from_file(config)
+    targets, safe = _spec_sets(cfg, model)
+    sweeps = []
+    sweep = mgr.collect
+
+    def counted():
+        sweeps.append(mgr.node_count())
+        sweep()
+
+    mgr.collect = counted
+    ctrl = solve_gen_buchi(model, targets, safe=safe)
+    assert sweeps
+    files = save_controller(ctrl, tmp_path / "controller.bdd",
+                            {"spec_kind": cfg.spec.kind,
+                             "name": cfg.codegen.name})
+    assert len(files) == 5      # two mode relations, two goals, the sidecar
+    for f in files:
+        assert f.read_bytes() == (out / f.name).read_bytes(), f.name
