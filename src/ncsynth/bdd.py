@@ -20,6 +20,14 @@ a diagram's nodes children first; `support`, `sat_count`,
 `import_function`, the file writer and the code emitters fold over that
 list, so none of them recurses, and `collect` marks the live nodes with
 it.
+
+Every computed table but `ite`'s is keyed by one int.  An ordered pair
+``f < g`` of refs is the key ``g * g + f`` (Szudzik's pairing, exact at
+any ref), the variable set of a product and the map of a rename each own
+their tables, and negation keys on ``f`` alone.  So these tables are
+plain int -> int dicts, which CPython's cyclic collector never tracks:
+no young collection visits their entries and no full collection walks
+them, and an int key takes about half the memory of a tuple.
 """
 
 from __future__ import annotations
@@ -51,9 +59,9 @@ class Manager:
     """Owner of a shared node store.
 
     Garbage collection is an epoch sweep: it only runs at public operation
-    boundaries, once the entries held (nodes plus computed-table entries,
-    which cost about the same memory each) exceed ``gc_threshold``.  The
-    sweep drops every computed table.  Functions that must survive a
+    boundaries, once the entries held (nodes plus computed-table entries)
+    exceed ``gc_threshold``.  The sweep drops every computed table and
+    counts itself in ``sweeps``.  Functions that must survive a
     sweep are pinned; the `Bdd` wrapper pins its root for its own
     lifetime, so holding wrappers is enough.
     """
@@ -65,21 +73,25 @@ class Manager:
         self._nodes = {}    # ref -> (var, lo, hi)
         self._unique = {}   # (var, lo, hi) -> ref
         self._refs = itertools.count(2)     # 0/1 are FALSE/TRUE
-        table = dict if cache_enabled else _Uncached
-        self._and_cache = table()       # (f, g) -> ref, f < g
-        self._or_cache = table()        # (f, g) -> ref, f < g
-        self._neg_cache = table()       # f -> ref
-        self._ite_cache = table()       # (f, g, h) -> ref
-        self._exand_cache = table()     # (f, g, varset token) -> ref, f < g
-        self._forall_cache = table()    # (f, g, varset token) -> ref, f < g
-        self._rename_cache = table()    # (f, map token) -> ref
-        self._tables = (self._and_cache, self._or_cache, self._neg_cache,
-                        self._ite_cache, self._exand_cache,
-                        self._forall_cache, self._rename_cache)
+        self._new_table = dict if cache_enabled else _Uncached
+        # every computed table, the per-varset and per-map ones included
+        self._tables = []
+        self._and_cache = self._table()     # g * g + f -> ref, 1 < f < g
+        self._or_cache = self._table()      # g * g + f -> ref, 1 < f < g
+        self._neg_cache = self._table()     # f -> ref
+        self._ite_cache = self._table()     # (f, g, h) -> ref
         self._gc_threshold = gc_threshold
+        self.sweeps = 0
         self._pins = {}     # ref -> pin count
-        self._varsets = {}  # sorted vars -> (token, level table, last var)
-        self._map_tokens = {}
+        # sorted vars -> (exist_and table, forall_or table, level table,
+        # last var); the two tables key g * g + f -> ref, f < g
+        self._varsets = {}
+        self._maps = {}     # sorted (var, target) items -> table f -> ref
+
+    def _table(self):
+        table = self._new_table()
+        self._tables.append(table)
+        return table
 
     # ------------------------------------------------------------------
     # node store
@@ -98,8 +110,12 @@ class Manager:
         """Number of live internal nodes (terminals excluded)."""
         return len(self._nodes)
 
+    def table_entries(self):
+        """Number of entries held by all computed tables."""
+        return sum(map(len, self._tables))
+
     def _entry(self):
-        if len(self._nodes) + sum(map(len, self._tables)) > self._gc_threshold:
+        if len(self._nodes) + self.table_entries() > self._gc_threshold:
             self.collect()
 
     def _pin(self, ref):
@@ -127,6 +143,7 @@ class Manager:
         """Sweep nodes unreachable from pinned roots; drops the computed
         tables."""
         # the tables go first, so that the rebuilt store reuses their memory
+        self.sweeps += 1
         for table in self._tables:
             table.clear()
         nodes = self._nodes
@@ -206,7 +223,7 @@ class Manager:
 
     def _and_rec(self, f, g):
         # 1 < f < g
-        key = (f, g)
+        key = g * g + f
         cache = self._and_cache
         r = cache.get(key)
         if r is not None:
@@ -258,7 +275,7 @@ class Manager:
 
     def _or_rec(self, f, g):
         # 1 < f < g
-        key = (f, g)
+        key = g * g + f
         cache = self._or_cache
         r = cache.get(key)
         if r is not None:
@@ -374,11 +391,11 @@ class Manager:
     # ------------------------------------------------------------------
     # quantification
     #
-    # A variable set is normalised once into (token, level table, last
-    # level): the table marks the quantified levels, and below the last
-    # one a product is a plain AND (OR).  The operands' top level and the
-    # set fix how far the set is consumed, so the computed tables key on
-    # (f, g, token) alone.
+    # A variable set is normalised once into (exist_and table, forall_or
+    # table, level table, last level): the level table marks the
+    # quantified levels, and below the last one a product is a plain AND
+    # (OR).  The operands' top level and the set fix how far the set is
+    # consumed, so the set's own tables key on the operands alone.
 
     def _varset(self, vars):
         t = self._norm_vars(vars)
@@ -388,7 +405,7 @@ class Manager:
             levels = bytearray(last + 1)
             for v in t:
                 levels[v] = 1
-            vs = (len(self._varsets), levels, last)
+            vs = (self._table(), self._table(), levels, last)
             self._varsets[t] = vs
         return vs
 
@@ -439,11 +456,10 @@ class Manager:
                 flo = fhi = f
         else:
             flo = fhi = f
-        tok, levels, last = vs
+        cache, _, levels, last = vs
         if v > last:
             return self._and(f, g)
-        key = (f, g, tok)
-        cache = self._exand_cache
+        key = g * g + f
         r = cache.get(key)
         if r is not None:
             return r
@@ -490,11 +506,10 @@ class Manager:
                 flo = fhi = f
         else:
             flo = fhi = f
-        tok, levels, last = vs
+        _, cache, levels, last = vs
         if v > last:
             return self._or(f, g)
-        key = (f, g, tok)
-        cache = self._forall_cache
+        key = g * g + f
         r = cache.get(key)
         if r is not None:
             return r
@@ -534,20 +549,21 @@ class Manager:
             self._check_var(s)
             self._check_var(t)
         self._entry()
-        tok = self._map_tokens.setdefault(items, len(self._map_tokens))
-        return Bdd(self, self._rename(f.ref, dict(items), tok))
+        cache = self._maps.get(items)
+        if cache is None:
+            cache = self._maps[items] = self._table()
+        return Bdd(self, self._rename(f.ref, dict(items), cache))
 
-    def _rename(self, f, m, tok):
+    def _rename(self, f, m, cache):
         if f <= 1:
             return f
-        key = (f, tok)
-        r = self._rename_cache.get(key)
+        r = cache.get(f)
         if r is not None:
             return r
         v, lo, hi = self._nodes[f]
-        r = self._relabel(m.get(v, v), self._rename(lo, m, tok),
-                          self._rename(hi, m, tok))
-        self._rename_cache[key] = r
+        r = self._relabel(m.get(v, v), self._rename(lo, m, cache),
+                          self._rename(hi, m, cache))
+        cache[f] = r
         return r
 
     def _relabel(self, v, lo, hi):

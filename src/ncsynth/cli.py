@@ -195,6 +195,9 @@ def cmd_synth(cfg, out_dir):
         "modes": len(ctrl.modes) if ctrl.modes else 0,
         "empty": ctrl.is_empty,
         "domain_size": model.mgr.sat_count(ctrl.domain, model.pre_vars),
+        "store_nodes": model.mgr.node_count(),
+        "table_entries": model.mgr.table_entries(),
+        "sweeps": model.mgr.sweeps,
     }
     outputs = [] if ctrl.is_empty else save_controller(
         ctrl, Path(out_dir) / "controller.bdd",

@@ -1,5 +1,6 @@
 """Engine correctness against an exhaustive truth-table oracle."""
 
+import gc
 import itertools
 import random
 
@@ -445,3 +446,81 @@ def test_deep_diagrams_need_no_recursion(tmp_path):
         save(f, {}, tmp_path / "deep.bdd")
         back, _ = load(tmp_path / "deep.bdd", manager=other)
         assert back == g
+
+
+def _run_every_keyed_operation(mgr, n, rng):
+    """One of each operation whose computed table is keyed by an int, on
+    random functions of n variables (mgr has 2n), each checked against the
+    truth-table oracle: `&`, `|`, `exists`, `forall`, `exist_and`,
+    `forall_or`, `ite` and `rename`, the last both onto fresh variables
+    and as a permutation in place (which relabels through `ite`)."""
+    pool = _operand_pool(rng, n, 8)
+    for _ in range(40):
+        a, b, c = (rng.choice(pool) for _ in range(3))
+        f, g, h = (make(mgr, t, n) for t in (a, b, c))
+        vars = rng.sample(range(n), rng.randint(1, n))
+        assert bdd_to_tt(f & g, range(n)) == tt_and(a, b)
+        assert bdd_to_tt(f | g, range(n)) == tt_or(a, b)
+        assert bdd_to_tt(mgr.ite(f, g, h), range(n)) == tt_or(
+            tt_and(a, b), tt_and(tt_not(a, n), c))
+        some, every, product, dual = a, a, tt_and(a, b), tt_or(a, b)
+        for p in vars:
+            some, every = tt_exists(some, n, p), tt_forall(every, n, p)
+            product, dual = tt_exists(product, n, p), tt_forall(dual, n, p)
+        assert bdd_to_tt(f.exists(vars), range(n)) == some
+        assert bdd_to_tt(f.forall(vars), range(n)) == every
+        assert bdd_to_tt(mgr.exist_and(f, g, vars), range(n)) == product
+        assert bdd_to_tt(mgr.forall_or(f, g, vars), range(n)) == dual
+        shifted = f.rename({i: i + n for i in range(n)})
+        assert bdd_to_tt(shifted, range(n, 2 * n)) == a
+        perm = rng.sample(range(n), n)
+        permuted = f.rename(dict(zip(range(n), perm)))
+        for code in range(1 << n):
+            bits = [(code >> (n - 1 - i)) & 1 for i in range(n)]
+            assert (permuted.evaluate({perm[i]: bits[i] for i in range(n)})
+                    == f.evaluate(dict(enumerate(bits))))
+
+
+def test_int_keyed_tables_stay_out_of_the_cyclic_collector():
+    # a dict of ints only is never tracked by CPython's cyclic collector;
+    # one tuple key would make the table tracked, and every young
+    # collection would then visit its entries
+    mgr = fresh(12)
+    _run_every_keyed_operation(mgr, 6, random.Random(61))
+    int_keyed = [t for t in mgr._tables if t is not mgr._ite_cache]
+    # and, or and negation, one exist_and and one forall_or table per
+    # variable set, one table per rename map
+    assert len(int_keyed) > 3 + 2 * 2 + 2
+    assert all(len(t) for t in (mgr._and_cache, mgr._or_cache))
+    assert any(len(t) for vs in mgr._varsets.values() for t in vs[:2])
+    assert any(len(t) for t in mgr._maps.values())
+    assert not any(gc.is_tracked(t) for t in int_keyed)
+
+
+def test_huge_refs_keep_every_key_exact():
+    # refs from 2**62 up: the pair key g * g + f is about 2**125, past any
+    # fixed-width pairing, and must still tell every pair apart
+    mgr = fresh(12)
+    mgr._refs = itertools.count(2 ** 62)
+    _run_every_keyed_operation(mgr, 6, random.Random(67))
+    assert min(mgr._nodes) >= 2 ** 62
+    assert mgr.table_entries() > 0
+
+
+def test_uncached_manager_keeps_no_table_entries():
+    mgr = fresh(12, cache_enabled=False)
+    _run_every_keyed_operation(mgr, 6, random.Random(71))
+    assert len(mgr._varsets) > 1 and len(mgr._maps) > 1
+    own = [t for vs in mgr._varsets.values() for t in vs[:2]]
+    own += mgr._maps.values()
+    assert not any(map(len, own))
+    assert sum(map(len, mgr._tables)) == 0
+
+
+def test_collect_counts_its_sweeps():
+    mgr = fresh(12)
+    _run_every_keyed_operation(mgr, 6, random.Random(73))
+    assert mgr.sweeps == 0 and mgr.table_entries() > 0
+    mgr.collect()
+    mgr.collect()
+    assert mgr.sweeps == 2 and mgr.table_entries() == 0

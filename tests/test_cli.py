@@ -360,6 +360,17 @@ class TestToyPipeline:
         assert synth_manifest["inputs"]
         assert str(out / "plant.bdd") not in synth_manifest["inputs"]
 
+    def test_synth_manifest_reports_kernel_sizes(self, tmp_path):
+        cfgp = toy_config(tmp_path)
+        out = tmp_path / "out"
+        for stage in ("abstract", "expand", "synth"):
+            assert main([stage, "--config", str(cfgp), "--out", str(out)]) == 0
+        sizes = json.loads((out / "synth.manifest.json").read_text())["sizes"]
+        assert {"store_nodes", "table_entries", "sweeps"} <= set(sizes)
+        # the toy solve stays far below the kernel's sweep budget
+        assert sizes["store_nodes"] > 0 and sizes["table_entries"] > 0
+        assert sizes["sweeps"] == 0
+
     def test_synth_reads_only_the_expanded_model(self, tmp_path):
         cfgp = gen_buchi_config(tmp_path)
         outs = [tmp_path / "kept", tmp_path / "deleted"]
