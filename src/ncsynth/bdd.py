@@ -21,6 +21,10 @@ a diagram's nodes children first; `support`, `sat_count`,
 list, so none of them recurses, and `collect` marks the live nodes with
 it.
 
+Each dual pair is one template instantiated with 0 and 1 swapped, as
+class attributes taking ``self`` (no manager is cyclic garbage): `_binary`
+gives AND and OR, `_quantified` gives `exist_and` and `forall_or`.
+
 Every computed table but `ite`'s is keyed by one int.  An ordered pair
 ``f < g`` of refs is the key ``g * g + f`` (Szudzik's pairing, exact at
 any ref), the variable set of a product and the map of a rename each own
@@ -53,6 +57,121 @@ class _Uncached(dict):
 
     def __setitem__(self, key, value):
         pass
+
+
+def _binary(zero, one, k):
+    """Entry and recursion of AND (``zero, one = 0, 1``, table
+    ``_tables[0]``) or of its dual OR (``1, 0``, ``_tables[1]``)."""
+
+    def entry(self, f, g):
+        if f == g or g == one:
+            return f
+        if f == one:
+            return g
+        if f == zero or g == zero:
+            return zero
+        return rec(self, f, g) if f < g else rec(self, g, f)
+
+    def rec(self, f, g):
+        # 1 < f < g
+        key = g * g + f
+        cache = self._tables[k]
+        r = cache.get(key)
+        if r is not None:
+            return r
+        nodes = self._nodes
+        v, flo, fhi = nodes[f]
+        w, glo, ghi = nodes[g]
+        if v < w:
+            glo = ghi = g
+        elif w < v:
+            v = w
+            flo = fhi = f
+        if flo == glo or glo == one:
+            lo = flo
+        elif flo == one:
+            lo = glo
+        elif flo == zero or glo == zero:
+            lo = zero
+        else:
+            lo = rec(self, flo, glo) if flo < glo else rec(self, glo, flo)
+        if fhi == ghi or ghi == one:
+            hi = fhi
+        elif fhi == one:
+            hi = ghi
+        elif fhi == zero or ghi == zero:
+            hi = zero
+        else:
+            hi = rec(self, fhi, ghi) if fhi < ghi else rec(self, ghi, fhi)
+        if lo == hi:
+            r = lo
+        else:
+            node = (v, lo, hi)
+            r = self._unique.get(node)
+            if r is None:
+                r = self._unique[node] = next(self._refs)
+                nodes[r] = node
+        cache[key] = r
+        return r
+
+    return entry, rec
+
+
+def _quantified(zero, one, k, meet, join):
+    """``exists vs . (f & g)`` (``0, 1``, table ``vs[0]``, AND, OR) or its
+    dual ``forall vs . (f | g)`` (``1, 0``, ``vs[1]``, OR, AND)."""
+
+    def rec(self, f, g, vs):
+        if f == zero or g == zero:
+            return zero
+        if f > g:
+            f, g = g, f
+        if f == g:
+            f = one
+        if g == one:
+            return one
+        # f < g and g is not a terminal; f may be `one`
+        nodes = self._nodes
+        v, glo, ghi = nodes[g]
+        if f > 1:
+            w, flo, fhi = nodes[f]
+            if w < v:
+                v = w
+                glo = ghi = g
+            elif w > v:
+                flo = fhi = f
+        else:
+            flo = fhi = f
+        if v > vs[3]:
+            return meet(self, f, g)
+        key = g * g + f
+        cache = vs[k]
+        r = cache.get(key)
+        if r is not None:
+            return r
+        if vs[2][v]:
+            a = zero if flo == zero or glo == zero else rec(self, flo, glo, vs)
+            if a == one or fhi == zero or ghi == zero:
+                r = a
+            else:
+                b = rec(self, fhi, ghi, vs)
+                r = (a if a == b or b == zero else b if a == zero
+                     else join(self, a, b))
+        else:
+            lo = zero if flo == zero or glo == zero else rec(self, flo, glo, vs)
+            hi = zero if fhi == zero or ghi == zero else rec(self, fhi, ghi, vs)
+            if lo == hi:
+                r = lo
+            else:
+                node = (v, lo, hi)
+                r = self._unique.get(node)
+                if r is None:
+                    r = self._unique[node] = next(self._refs)
+                    nodes[r] = node
+        cache[key] = r
+        return r
+
+    return rec
 
 
 class Manager:
@@ -195,7 +314,7 @@ class Manager:
     # ------------------------------------------------------------------
     # boolean combinators
     #
-    # Each operation has its own recursion and computed table.  A
+    # AND and OR are one template, each with its own computed table.  A
     # recursion is entered only on operands that are not a terminal case:
     # the entry function and every recursive step test those cases first,
     # so no call is spent on a result known without looking at nodes.
@@ -212,109 +331,8 @@ class Manager:
             return Bdd(self, self._or(f, g))
         return Bdd(self, self._ite(f, self._neg(g), g))
 
-    def _and(self, f, g):
-        if f == g or g == 1:
-            return f
-        if f == 1:
-            return g
-        if f == 0 or g == 0:
-            return 0
-        return self._and_rec(f, g) if f < g else self._and_rec(g, f)
-
-    def _and_rec(self, f, g):
-        # 1 < f < g
-        key = g * g + f
-        cache = self._and_cache
-        r = cache.get(key)
-        if r is not None:
-            return r
-        nodes = self._nodes
-        v, flo, fhi = nodes[f]
-        w, glo, ghi = nodes[g]
-        if v < w:
-            glo = ghi = g
-        elif w < v:
-            v = w
-            flo = fhi = f
-        rec = self._and_rec
-        if flo == glo or glo == 1:
-            lo = flo
-        elif flo == 1:
-            lo = glo
-        elif flo == 0 or glo == 0:
-            lo = 0
-        else:
-            lo = rec(flo, glo) if flo < glo else rec(glo, flo)
-        if fhi == ghi or ghi == 1:
-            hi = fhi
-        elif fhi == 1:
-            hi = ghi
-        elif fhi == 0 or ghi == 0:
-            hi = 0
-        else:
-            hi = rec(fhi, ghi) if fhi < ghi else rec(ghi, fhi)
-        if lo == hi:
-            r = lo
-        else:
-            node = (v, lo, hi)
-            r = self._unique.get(node)
-            if r is None:
-                r = self._unique[node] = next(self._refs)
-                nodes[r] = node
-        cache[key] = r
-        return r
-
-    def _or(self, f, g):
-        if f == g or g == 0:
-            return f
-        if f == 0:
-            return g
-        if f == 1 or g == 1:
-            return 1
-        return self._or_rec(f, g) if f < g else self._or_rec(g, f)
-
-    def _or_rec(self, f, g):
-        # 1 < f < g
-        key = g * g + f
-        cache = self._or_cache
-        r = cache.get(key)
-        if r is not None:
-            return r
-        nodes = self._nodes
-        v, flo, fhi = nodes[f]
-        w, glo, ghi = nodes[g]
-        if v < w:
-            glo = ghi = g
-        elif w < v:
-            v = w
-            flo = fhi = f
-        rec = self._or_rec
-        if flo == glo or glo == 0:
-            lo = flo
-        elif flo == 0:
-            lo = glo
-        elif flo == 1 or glo == 1:
-            lo = 1
-        else:
-            lo = rec(flo, glo) if flo < glo else rec(glo, flo)
-        if fhi == ghi or ghi == 0:
-            hi = fhi
-        elif fhi == 0:
-            hi = ghi
-        elif fhi == 1 or ghi == 1:
-            hi = 1
-        else:
-            hi = rec(fhi, ghi) if fhi < ghi else rec(ghi, fhi)
-        if lo == hi:
-            r = lo
-        else:
-            node = (v, lo, hi)
-            r = self._unique.get(node)
-            if r is None:
-                r = self._unique[node] = next(self._refs)
-                nodes[r] = node
-        cache[key] = r
-        return r
+    _and, _and_rec = _binary(0, 1, 0)
+    _or, _or_rec = _binary(1, 0, 1)
 
     def negate(self, f):
         self._check_owned(f)
@@ -391,11 +409,12 @@ class Manager:
     # ------------------------------------------------------------------
     # quantification
     #
-    # A variable set is normalised once into (exist_and table, forall_or
-    # table, level table, last level): the level table marks the
-    # quantified levels, and below the last one a product is a plain AND
-    # (OR).  The operands' top level and the set fix how far the set is
-    # consumed, so the set's own tables key on the operands alone.
+    # `exist_and` and its dual `forall_or` are one template.  A variable
+    # set is normalised once into (exist_and table, forall_or table, level
+    # table, last level): the level table marks the quantified levels, and
+    # below the last one a product is a plain AND (OR).  The operands' top
+    # level and the set fix how far the set is consumed, so the set's own
+    # tables key on the operands alone.
 
     def _varset(self, vars):
         t = self._norm_vars(vars)
@@ -435,105 +454,8 @@ class Manager:
         self._entry()
         return Bdd(self, self._forall_or(f.ref, g.ref, vs))
 
-    def _exist_and(self, f, g, vs):
-        if f == 0 or g == 0:
-            return 0
-        if f > g:
-            f, g = g, f
-        if f == g:
-            f = 1
-        if g == 1:
-            return 1
-        # f < g and g is not a terminal; f may be TRUE
-        nodes = self._nodes
-        v, glo, ghi = nodes[g]
-        if f > 1:
-            w, flo, fhi = nodes[f]
-            if w < v:
-                v = w
-                glo = ghi = g
-            elif w > v:
-                flo = fhi = f
-        else:
-            flo = fhi = f
-        cache, _, levels, last = vs
-        if v > last:
-            return self._and(f, g)
-        key = g * g + f
-        r = cache.get(key)
-        if r is not None:
-            return r
-        rec = self._exist_and
-        if levels[v]:
-            a = 0 if flo == 0 or glo == 0 else rec(flo, glo, vs)
-            if a == 1 or fhi == 0 or ghi == 0:
-                r = a
-            else:
-                b = rec(fhi, ghi, vs)
-                r = a if a == b or b == 0 else b if a == 0 else self._or(a, b)
-        else:
-            lo = 0 if flo == 0 or glo == 0 else rec(flo, glo, vs)
-            hi = 0 if fhi == 0 or ghi == 0 else rec(fhi, ghi, vs)
-            if lo == hi:
-                r = lo
-            else:
-                node = (v, lo, hi)
-                r = self._unique.get(node)
-                if r is None:
-                    r = self._unique[node] = next(self._refs)
-                    nodes[r] = node
-        cache[key] = r
-        return r
-
-    def _forall_or(self, f, g, vs):
-        if f == 1 or g == 1:
-            return 1
-        if f > g:
-            f, g = g, f
-        if f == g:
-            f = 0
-        if g == 0:
-            return 0
-        # f < g and g is not a terminal; f may be FALSE
-        nodes = self._nodes
-        v, glo, ghi = nodes[g]
-        if f > 1:
-            w, flo, fhi = nodes[f]
-            if w < v:
-                v = w
-                glo = ghi = g
-            elif w > v:
-                flo = fhi = f
-        else:
-            flo = fhi = f
-        _, cache, levels, last = vs
-        if v > last:
-            return self._or(f, g)
-        key = g * g + f
-        r = cache.get(key)
-        if r is not None:
-            return r
-        rec = self._forall_or
-        if levels[v]:
-            a = 1 if flo == 1 or glo == 1 else rec(flo, glo, vs)
-            if a == 0 or fhi == 1 or ghi == 1:
-                r = a
-            else:
-                b = rec(fhi, ghi, vs)
-                r = a if a == b or b == 1 else b if a == 1 else self._and(a, b)
-        else:
-            lo = 1 if flo == 1 or glo == 1 else rec(flo, glo, vs)
-            hi = 1 if fhi == 1 or ghi == 1 else rec(fhi, ghi, vs)
-            if lo == hi:
-                r = lo
-            else:
-                node = (v, lo, hi)
-                r = self._unique.get(node)
-                if r is None:
-                    r = self._unique[node] = next(self._refs)
-                    nodes[r] = node
-        cache[key] = r
-        return r
+    _exist_and = _quantified(0, 1, 0, _and, _or)
+    _forall_or = _quantified(1, 0, 1, _or, _and)
 
     # ------------------------------------------------------------------
     # renaming
@@ -620,7 +542,9 @@ class Manager:
             memo[r] = res
             return res
 
-        return Bdd(self, rec(f.ref))
+        r = rec(f.ref)
+        del rec     # it calls itself: a reference cycle while bound
+        return Bdd(self, r)
 
     def evaluate(self, f, assignment):
         """Evaluate under a total assignment of f's support; returns bool."""
@@ -752,7 +676,9 @@ class Manager:
             mid = bisect.bisect_left(codes, prefix | (1 << k), lo, hi)
             return self._make(sup[d], build(lo, mid, d + 1), build(mid, hi, d + 1))
 
-        return Bdd(self, build(0, len(codes), 0))
+        r = build(0, len(codes), 0)
+        del build   # it calls itself: a reference cycle while bound
+        return Bdd(self, r)
 
     def equal_blocks(self, avars, bvars):
         """Conjunction of biconditionals a_j <-> b_j over two variable lists."""

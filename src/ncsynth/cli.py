@@ -4,8 +4,9 @@ simulation -> implementation code, plus the inspection helpers.
 Every stage reads and writes BDD files in the working directory given by
 --out, records a manifest (inputs, hashes, sizes, timings), and can be
 run independently or chained.  Exit codes: 0 ok, 2 configuration or usage
-error (including a model file of another variable layout, a controller
-too wide for the emitted C and a file-system error), 3 the synthesized
+error (including a model file of another variable layout, a malformed
+mode automaton or a missing metadata key, a controller too wide for the
+emitted C and a file-system error), 3 the synthesized
 controller is empty, 4 the simulation left the controller domain, 5 a BDD
 operation recursed past Python's recursion limit (the model is too deep;
 the message names the stage), 6 a stage ran out of memory (the message

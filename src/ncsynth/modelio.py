@@ -69,6 +69,22 @@ def save_plant_model(ts, path):
     return [Path(path)]
 
 
+class _Meta(dict):
+    """The metadata of the file `path`, nested objects included: a key
+    that a loader reads and does not find is a `BddFileError` naming the
+    file and the key."""
+
+    def __init__(self, path, items, prefix=""):
+        super().__init__((k, _Meta(path, v, f"{prefix}{k}.")
+                          if isinstance(v, dict) else v)
+                         for k, v in items.items())
+        self._where = (path, prefix)
+
+    def __missing__(self, key):
+        path, prefix = self._where
+        raise BddFileError(f"{path}: metadata has no key '{prefix}{key}'")
+
+
 _KIND_NAMES = {"plant_model": "a plant model",
                "ncs_model": "an expanded model", "controller": "a controller"}
 
@@ -77,6 +93,7 @@ def _read(path, *kinds):
     """Function and metadata of `path`, whose kind must be in `kinds` and
     whose expanded-model layout, if any, must be this one."""
     f, meta = load(path)
+    meta = _Meta(path, meta)
     if meta.get("kind") not in kinds:
         raise BddFileError(f"{path}: expected "
                            f"{' or '.join(_KIND_NAMES[k] for k in kinds)}, "
@@ -141,14 +158,36 @@ def _sibling(path, tail):
 
 
 def _read_sidecar(path):
-    """Path and content of the mode automaton of controller `path`."""
+    """Path and content of the mode automaton of controller `path`,
+    refused unless each entry names its relation and goal files and a
+    successor mode, and `mode_count` counts the entries."""
     sidecar = _sibling(path, "modes.json")
     try:
         with open(sidecar) as fh:
-            return sidecar, json.load(fh)
+            content = json.load(fh)
     except FileNotFoundError:
         raise BddFileError(f"{path}: mode-switching controller without its "
                            f"mode automaton {sidecar}") from None
+    except json.JSONDecodeError as exc:
+        raise BddFileError(f"{sidecar}: not JSON: {exc}") from None
+    modes = content.get("modes") if isinstance(content, dict) else None
+    if not isinstance(modes, list) or not modes:
+        raise BddFileError(f"{sidecar}: no list of mode entries")
+    if content.get("mode_count") != len(modes):
+        raise BddFileError(f"{sidecar}: mode_count "
+                           f"{content.get('mode_count')!r} but "
+                           f"{len(modes)} mode entries")
+    for i, e in enumerate(modes):
+        e = e if isinstance(e, dict) else {}
+        for key in ("relation", "goal"):
+            if not isinstance(e.get(key), str):
+                raise BddFileError(f"{sidecar}: mode entry {i} has no "
+                                   f"'{key}' file name")
+        if type(e.get("next")) is not int or not 0 <= e["next"] < len(modes):
+            raise BddFileError(f"{sidecar}: mode entry {i} has 'next' "
+                               f"{e.get('next')!r}, not a mode in "
+                               f"0..{len(modes) - 1}")
+    return sidecar, content
 
 
 def artifact_files(path, meta):
@@ -195,7 +234,8 @@ def make_shell_ncs_model(meta, mgr=None, trans=None, initial=None):
     """The expanded model that `meta` describes.  Without `trans` and
     `initial` it is a carcass, as a controller file describes its model:
     layout, grids and bounds for simulation and decoding, no relation."""
-    bounds = DelayBounds(**meta["delays"])
+    d = meta["delays"]
+    bounds = DelayBounds(d["nsc_min"], d["nsc_max"], d["nca_min"], d["nca_max"])
     lay = NcsLayout(bounds, _grid_from_meta(meta["state_grid"]),
                     _grid_from_meta(meta["input_grid"]))
     mgr = _grown_manager(mgr, lay.var_count)

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -524,3 +525,27 @@ def test_collect_counts_its_sweeps():
     mgr.collect()
     mgr.collect()
     assert mgr.sweeps == 2 and mgr.table_entries() == 0
+
+
+def test_dropped_manager_is_freed_without_the_cyclic_collector():
+    # the kernel's dual templates are class attributes, not closures over
+    # a manager, and its self-calling walks leave no cycle behind, so a
+    # manager and its functions go as soon as the last reference does
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        mgr = fresh(12)
+        _run_every_keyed_operation(mgr, 6, random.Random(79))
+        # the oracle's own walk is a self-calling closure: its cyclic
+        # garbage is cleared here, while `mgr` is still referenced
+        gc.collect()
+        f = mgr.from_minterms(range(6), [3, 9, 40])
+        assert f.restrict({0: 0}).sat_count(range(6)) == 4
+        assert len(list(f.cubes(range(6)))) == 3
+        assert mgr.table_entries() > 0
+        alive = weakref.ref(mgr)
+        del mgr, f
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()

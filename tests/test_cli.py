@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ncsynth.bddfile import load
+from ncsynth.bddfile import load, save
 from ncsynth.cli import main
 from ncsynth.codegen import generate
 from ncsynth.config import ConfigError, RunConfig
@@ -868,6 +868,39 @@ class TestCleanFailures:
             assert str(out / "controller.modes.json") in err, stage
         assert not list(out.glob("toyctl*"))
         assert not (out / "trace.csv").exists()
+
+    def test_malformed_mode_automaton_exits_2(self, tmp_path, capsys):
+        cfgp = gen_buchi_config(tmp_path)
+        out = tmp_path / "out"
+        for stage in ("abstract", "expand", "synth"):
+            assert main([stage, "--config", str(cfgp), "--out", str(out)]) == 0
+        sidecar = out / "controller.modes.json"
+        content = json.loads(sidecar.read_text())
+        content["modes"][0]["next"] = 7
+        sidecar.write_text(json.dumps(content))
+        capsys.readouterr()
+        rc = main(["sim", "--config", str(cfgp), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"error: {sidecar}: mode entry 0 has 'next' 7, "
+                       f"not a mode in 0..1\n")
+        assert not (out / "trace.csv").exists()
+
+    def test_plant_model_without_a_metadata_key_exits_2(self, tmp_path,
+                                                        capsys):
+        cfgp = toy_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["abstract", "--config", str(cfgp), "--out", str(out)]) == 0
+        f, meta = load(out / "plant.bdd")
+        del meta["state_grid"]
+        save(f, meta, out / "plant.bdd")
+        capsys.readouterr()
+        rc = main(["expand", "--config", str(cfgp), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"error: {out / 'plant.bdd'}: metadata has no key "
+                       f"'state_grid'\n")
+        assert not (out / "ncs.bdd").exists()
 
     def test_recursion_limit_exits_5(self, tmp_path, capsys):
         cfgp = integrator_config(tmp_path, (2, 2, 300, 300))

@@ -1,8 +1,10 @@
+import json
+
 import pytest
 
 from ncsynth.abstraction import build_abstraction
 from ncsynth.bdd import Manager
-from ncsynth.bddfile import BddFileError
+from ncsynth.bddfile import BddFileError, load, save
 from ncsynth.grid import UniformGrid
 from ncsynth.modelio import (artifact_files, load_controller, load_model,
                              load_ncs_model, load_plant_model,
@@ -207,3 +209,78 @@ def test_load_model_reads_either_model_kind(tmp_path):
     with pytest.raises(BddFileError, match="expected a plant model or an "
                                            "expanded model"):
         load_model(tmp_path / "ctl.bdd")
+
+
+def _edit_sidecar(path, edit):
+    content = json.loads(path.read_text())
+    edit(content)
+    path.write_text(json.dumps(content))
+
+
+def _set_next(i, value):
+    return lambda c: c["modes"][i].update(next=value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_next(0, 7), "mode entry 0 has 'next' 7, not a mode in 0..1"),
+    (_set_next(1, -1), "mode entry 1 has 'next' -1, not a mode in 0..1"),
+    (_set_next(0, "1"), "mode entry 0 has 'next' '1', not a mode in 0..1"),
+    (_set_next(1, True), "mode entry 1 has 'next' True, not a mode in 0..1"),
+    (lambda c: c["modes"][1].pop("next"),
+     "mode entry 1 has 'next' None, not a mode in 0..1"),
+    (lambda c: c["modes"][0].pop("relation"),
+     "mode entry 0 has no 'relation' file name"),
+    (lambda c: c["modes"][1].pop("goal"),
+     "mode entry 1 has no 'goal' file name"),
+    (lambda c: c.update(mode_count=3), "mode_count 3 but 2 mode entries"),
+    (lambda c: c.pop("mode_count"), "mode_count None but 2 mode entries"),
+    (lambda c: c.update(modes=[]), "no list of mode entries"),
+], ids=["next-7", "next-negative", "next-str", "next-bool", "next-missing",
+        "relation-missing", "goal-missing", "mode-count-3",
+        "mode-count-missing", "no-modes"])
+def test_malformed_mode_automaton_is_refused(tmp_path, edit, message):
+    _, ts, model = small_pipeline()
+    save_controller(_two_mode_controller(model, ts), tmp_path / "ctl.bdd")
+    sidecar = tmp_path / "ctl.modes.json"
+    _edit_sidecar(sidecar, edit)
+    with pytest.raises(BddFileError) as info:
+        load_controller(tmp_path / "ctl.bdd")
+    assert str(info.value) == f"{sidecar}: {message}"
+
+
+
+def test_mode_automaton_that_is_not_json_is_refused(tmp_path):
+    _, ts, model = small_pipeline()
+    save_controller(_two_mode_controller(model, ts), tmp_path / "ctl.bdd")
+    (tmp_path / "ctl.modes.json").write_text('{"mode_count": 2,')
+    with pytest.raises(BddFileError, match="ctl.modes.json: not JSON"):
+        load_controller(tmp_path / "ctl.bdd")
+
+@pytest.mark.parametrize("drop", [("state_grid",), ("vars",),
+                                  ("input_grid", "eta")])
+def test_plant_model_without_a_metadata_key_is_refused(tmp_path, drop):
+    _, ts, _ = small_pipeline()
+    p = tmp_path / "plant.bdd"
+    save_plant_model(ts, p)
+    f, meta = load(p)
+    node = meta
+    for key in drop[:-1]:
+        node = node[key]
+    del node[drop[-1]]
+    save(f, meta, p)
+    with pytest.raises(BddFileError) as info:
+        load_plant_model(p)
+    assert str(info.value) == f"{p}: metadata has no key '{'.'.join(drop)}'"
+
+
+@pytest.mark.parametrize("drop", ["delays", "nca_max", "state_grid"])
+def test_expanded_model_without_a_metadata_key_is_refused(tmp_path, drop):
+    _, _, model = small_pipeline()
+    p = tmp_path / "ncs.bdd"
+    save_ncs_model(model, p)
+    f, meta = load(p)
+    (meta["delays"] if drop == "nca_max" else meta).pop(drop)
+    save(f, meta, p)
+    where = "delays.nca_max" if drop == "nca_max" else drop
+    with pytest.raises(BddFileError, match=f"no key '{where}'"):
+        load_ncs_model(p)
